@@ -2,56 +2,79 @@
 
    Real data lives here so that the section 5.1 consistency tester can
    observe genuinely stale TLB entries: its counters are words in a frame,
-   incremented through simulated translation. *)
+   incremented through simulated translation.
+
+   A run writes only a few of its frames, so storage is allocated on first
+   use: every frame starts as the shared [unbacked] sentinel, reads of it
+   return 0, and its first [write] (or the [copy_frame] that lands real
+   data in it) gives it a page of its own.  Creating a machine therefore
+   costs O(frames) pointer stores, not a zero-filled frames-sized page
+   store. *)
 
 type t = {
-  words : int array; (* frames * words_per_page *)
-  nframes : int;
-  mutable free : Addr.pfn list;
-  mutable allocated : int;
+  store : int array array; (* one page of words per frame, or [unbacked] *)
+  free : Addr.pfn array; (* stack of free frames, top at [nfree - 1] *)
+  mutable nfree : int;
 }
 
+let unbacked : int array = [||]
+
+(* Frames are handed out lowest first, and a freed frame is the next one
+   handed out (LIFO). *)
 let create ~frames =
   {
-    words = Array.make (frames * Addr.words_per_page) 0;
-    nframes = frames;
-    free = List.init frames (fun i -> i);
-    allocated = 0;
+    store = Array.make frames unbacked;
+    free = Array.init frames (fun i -> frames - 1 - i);
+    nfree = frames;
   }
 
-let frames t = t.nframes
-let free_frames t = t.nframes - t.allocated
+let frames t = Array.length t.store
+let free_frames t = t.nfree
 
 exception Out_of_memory
 
 let alloc_frame t =
-  match t.free with
-  | [] -> raise Out_of_memory
-  | pfn :: rest ->
-      t.free <- rest;
-      t.allocated <- t.allocated + 1;
-      pfn
+  if t.nfree = 0 then raise Out_of_memory;
+  t.nfree <- t.nfree - 1;
+  t.free.(t.nfree)
 
 let free_frame t pfn =
-  if pfn < 0 || pfn >= t.nframes then invalid_arg "Phys_mem.free_frame";
-  t.free <- pfn :: t.free;
-  t.allocated <- t.allocated - 1
+  if pfn < 0 || pfn >= frames t || t.nfree = frames t then
+    invalid_arg "Phys_mem.free_frame";
+  t.free.(t.nfree) <- pfn;
+  t.nfree <- t.nfree + 1
+
+let check_frame t pfn =
+  if pfn < 0 || pfn >= frames t then invalid_arg "Phys_mem: bad frame"
 
 let word_index t ~pfn ~offset =
-  if pfn < 0 || pfn >= t.nframes then invalid_arg "Phys_mem: bad frame";
+  check_frame t pfn;
   if offset < 0 || offset >= Addr.page_size then
     invalid_arg "Phys_mem: bad offset";
-  (pfn * Addr.words_per_page) + (offset / Addr.word_size)
+  offset / Addr.word_size
 
-let read t ~pfn ~offset = t.words.(word_index t ~pfn ~offset)
-let write t ~pfn ~offset v = t.words.(word_index t ~pfn ~offset) <- v
+let read t ~pfn ~offset =
+  let i = word_index t ~pfn ~offset in
+  let page = t.store.(pfn) in
+  if page == unbacked then 0 else page.(i)
+
+let write t ~pfn ~offset v =
+  let i = word_index t ~pfn ~offset in
+  if t.store.(pfn) == unbacked then
+    t.store.(pfn) <- Array.make Addr.words_per_page 0;
+  t.store.(pfn).(i) <- v
 
 let zero_frame t pfn =
-  Array.fill t.words (pfn * Addr.words_per_page) Addr.words_per_page 0
+  check_frame t pfn;
+  let page = t.store.(pfn) in
+  if page != unbacked then Array.fill page 0 Addr.words_per_page 0
 
 let copy_frame t ~src ~dst =
-  Array.blit t.words
-    (src * Addr.words_per_page)
-    t.words
-    (dst * Addr.words_per_page)
-    Addr.words_per_page
+  check_frame t src;
+  check_frame t dst;
+  let from = t.store.(src) in
+  if from == unbacked then zero_frame t dst
+  else
+    let page = t.store.(dst) in
+    if page == unbacked then t.store.(dst) <- Array.copy from
+    else Array.blit from 0 page 0 Addr.words_per_page

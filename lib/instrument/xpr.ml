@@ -47,9 +47,14 @@ let dummy_event =
     farg = 0.0;
   }
 
+(* The ring starts small and doubles up to [capacity] as it fills, so an
+   unused or lightly used buffer costs a few dozen slots, not [capacity]. *)
+let initial_slots = 64
+
 let create ?(capacity = 1 lsl 16) () =
+  if capacity < 1 then invalid_arg "Xpr.create: capacity";
   {
-    buf = Array.make capacity dummy_event;
+    buf = Array.make (min initial_slots capacity) dummy_event;
     capacity;
     next = 0;
     recorded = 0;
@@ -62,11 +67,20 @@ let disable t = t.enabled <- false
 let reset t =
   t.next <- 0;
   t.recorded <- 0;
-  Array.fill t.buf 0 t.capacity dummy_event
+  t.buf <- Array.make (min initial_slots t.capacity) dummy_event
+
+(* Until the ring first fills, [next = recorded]; it reaches the end of
+   [buf] only while [buf] is still shorter than [capacity]. *)
+let grow t =
+  let len = Array.length t.buf in
+  let bigger = Array.make (min (2 * len) t.capacity) dummy_event in
+  Array.blit t.buf 0 bigger 0 len;
+  t.buf <- bigger
 
 let record t ~code ~cpu ~timestamp ?(arg1 = 0) ?(arg2 = 0) ?(arg3 = 0)
     ?(farg = 0.0) () =
   if t.enabled then begin
+    if t.next = Array.length t.buf then grow t;
     t.buf.(t.next) <- { code; cpu; timestamp; arg1; arg2; arg3; farg };
     t.next <- (t.next + 1) mod t.capacity;
     t.recorded <- t.recorded + 1

@@ -18,9 +18,14 @@ type event = {
 type t
 
 val create : ?capacity:int -> unit -> t
+(** A ring of [capacity] events (default 65 536).  Slots are allocated on
+    first use: the ring starts at 64 and doubles up to [capacity].
+    @raise Invalid_argument if [capacity < 1]. *)
+
 val enable : t -> unit
 val disable : t -> unit
 val reset : t -> unit
+(** Drops every event and shrinks the ring back to its first size. *)
 
 val record :
   t ->

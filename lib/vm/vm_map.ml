@@ -40,12 +40,11 @@ type t = {
          Always empty when batching is off. *)
 }
 
-(* Atomic: ids must stay unique when trials run on several domains
-   (Sim.Domain_pool); they are diagnostic-only and never affect results. *)
-let map_counter = Atomic.make 0
-
+(* The id comes from per-machine state, never a process-global counter:
+   it is printed into the lock label, and what a run allocates must not
+   depend on how many maps the process made before it. *)
 let create ~pmap ~lo ~hi =
-  let id_ = Atomic.fetch_and_add map_counter 1 + 1 in
+  let id_ = pmap.Pmap.space_id in
   {
     map_id = id_;
     pmap;

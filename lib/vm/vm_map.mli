@@ -21,7 +21,7 @@ type entry = {
 }
 
 type t = {
-  map_id : int;
+  map_id : int; (** the pmap's space id, unique within a machine *)
   pmap : Core.Pmap.t;
   lo : Hw.Addr.vpn;
   hi : Hw.Addr.vpn;

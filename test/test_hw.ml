@@ -79,6 +79,182 @@ let test_copy_frame () =
   Alcotest.(check int) "last word" 2
     (Phys_mem.read mem ~pfn:b ~offset:(Addr.page_size - 4))
 
+let test_phys_mem_unbacked_frames () =
+  let mem = Phys_mem.create ~frames:4096 in
+  let order = List.init 3 (fun _ -> Phys_mem.alloc_frame mem) in
+  Alcotest.(check (list int)) "lowest first" [ 0; 1; 2 ] order;
+  Phys_mem.free_frame mem 1;
+  Alcotest.(check int) "freed frame comes back first" 1
+    (Phys_mem.alloc_frame mem);
+  Alcotest.(check int) "never-written frame reads 0" 0
+    (Phys_mem.read mem ~pfn:4095 ~offset:(Addr.page_size - 4));
+  Phys_mem.zero_frame mem 7;
+  Alcotest.(check int) "zeroed unbacked frame" 0
+    (Phys_mem.read mem ~pfn:7 ~offset:0);
+  Phys_mem.write mem ~pfn:2 ~offset:8 5;
+  Phys_mem.copy_frame mem ~src:9 ~dst:2;
+  Alcotest.(check int) "unbacked copied over backed" 0
+    (Phys_mem.read mem ~pfn:2 ~offset:8);
+  Phys_mem.write mem ~pfn:2 ~offset:8 6;
+  Phys_mem.copy_frame mem ~src:2 ~dst:3;
+  Phys_mem.write mem ~pfn:2 ~offset:8 7;
+  Alcotest.(check int) "copy owns its storage" 6
+    (Phys_mem.read mem ~pfn:3 ~offset:8)
+
+let test_phys_mem_bad_frame () =
+  let mem = Phys_mem.create ~frames:4 in
+  let bad = Invalid_argument "Phys_mem: bad frame" in
+  List.iter
+    (fun pfn ->
+      Alcotest.check_raises "read" bad (fun () ->
+          ignore (Phys_mem.read mem ~pfn ~offset:0));
+      Alcotest.check_raises "write" bad (fun () ->
+          Phys_mem.write mem ~pfn ~offset:0 1);
+      Alcotest.check_raises "zero_frame" bad (fun () ->
+          Phys_mem.zero_frame mem pfn);
+      Alcotest.check_raises "copy_frame src" bad (fun () ->
+          Phys_mem.copy_frame mem ~src:pfn ~dst:0);
+      Alcotest.check_raises "copy_frame dst" bad (fun () ->
+          Phys_mem.copy_frame mem ~src:0 ~dst:pfn))
+    [ -1; 4 ];
+  Alcotest.check_raises "bad offset" (Invalid_argument "Phys_mem: bad offset")
+    (fun () -> Phys_mem.write mem ~pfn:0 ~offset:Addr.page_size 1)
+
+(* Phys_mem against a flat reference: one zero-filled word array and a
+   free list, the allocator order included. *)
+
+type mem_op =
+  | M_alloc
+  | M_free of int (* index into the live frames; negative = bad frame *)
+  | M_read of int * int (* pfn, byte offset *)
+  | M_write of int * int * int
+  | M_zero of int
+  | M_copy of int * int
+
+let mem_frames = 6
+
+let show_mem_op = function
+  | M_alloc -> "alloc"
+  | M_free i -> Printf.sprintf "free #%d" i
+  | M_read (p, o) -> Printf.sprintf "read %d@%d" p o
+  | M_write (p, o, v) -> Printf.sprintf "write %d@%d=%d" p o v
+  | M_zero p -> Printf.sprintf "zero %d" p
+  | M_copy (s, d) -> Printf.sprintf "copy %d->%d" s d
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let pfn =
+    frequency
+      [ (8, int_range 0 (mem_frames - 1)); (1, oneofl [ -1; mem_frames ]) ]
+  in
+  let offset =
+    frequency
+      [
+        (4, map (fun w -> w * Addr.word_size) (int_range 0 3));
+        (2, int_range 0 (Addr.page_size - 1));
+        (1, oneofl [ -1; Addr.page_size ]);
+      ]
+  in
+  frequency
+    [
+      (3, return M_alloc);
+      (2, map (fun i -> M_free i) (int_range (-1) 5));
+      (4, map2 (fun p o -> M_read (p, o)) pfn offset);
+      (4, map3 (fun p o v -> M_write (p, o, v)) pfn offset (int_range 1 1000));
+      (2, map (fun p -> M_zero p) pfn);
+      (3, map2 (fun s d -> M_copy (s, d)) pfn pfn);
+    ]
+
+type flat = { words : int array; mutable free_list : int list }
+
+let flat_frame pfn =
+  if pfn < 0 || pfn >= mem_frames then invalid_arg "Phys_mem: bad frame"
+
+let flat_index pfn offset =
+  flat_frame pfn;
+  if offset < 0 || offset >= Addr.page_size then
+    invalid_arg "Phys_mem: bad offset";
+  (pfn * Addr.words_per_page) + (offset / Addr.word_size)
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Phys_mem.Out_of_memory -> Error "out of memory"
+  | exception Invalid_argument m -> Error m
+
+let phys_mem_matches_flat ops =
+  let mem = Phys_mem.create ~frames:mem_frames in
+  let flat =
+    {
+      words = Array.make (mem_frames * Addr.words_per_page) 0;
+      free_list = List.init mem_frames Fun.id;
+    }
+  in
+  let live = ref [] in
+  let step op =
+    let real, model =
+      match op with
+      | M_alloc ->
+          ( outcome (fun () -> Phys_mem.alloc_frame mem),
+            outcome (fun () ->
+                match flat.free_list with
+                | [] -> raise Phys_mem.Out_of_memory
+                | pfn :: rest ->
+                    flat.free_list <- rest;
+                    pfn) )
+      | M_free i when i < 0 ->
+          ( outcome (fun () -> Phys_mem.free_frame mem (-1); 0),
+            Error "Phys_mem.free_frame" )
+      | M_free _ when !live = [] -> (Ok 0, Ok 0)
+      | M_free i ->
+          let pfn = List.nth !live (i mod List.length !live) in
+          live := List.filter (( <> ) pfn) !live;
+          flat.free_list <- pfn :: flat.free_list;
+          (outcome (fun () -> Phys_mem.free_frame mem pfn; pfn), Ok pfn)
+      | M_read (pfn, offset) ->
+          ( outcome (fun () -> Phys_mem.read mem ~pfn ~offset),
+            outcome (fun () -> flat.words.(flat_index pfn offset)) )
+      | M_write (pfn, offset, v) ->
+          ( outcome (fun () -> Phys_mem.write mem ~pfn ~offset v; v),
+            outcome (fun () -> flat.words.(flat_index pfn offset) <- v; v) )
+      | M_zero pfn ->
+          ( outcome (fun () -> Phys_mem.zero_frame mem pfn; 0),
+            outcome (fun () ->
+                flat_frame pfn;
+                Array.fill flat.words (pfn * Addr.words_per_page)
+                  Addr.words_per_page 0;
+                0) )
+      | M_copy (src, dst) ->
+          ( outcome (fun () -> Phys_mem.copy_frame mem ~src ~dst; 0),
+            outcome (fun () ->
+                flat_frame src;
+                flat_frame dst;
+                Array.blit flat.words (src * Addr.words_per_page) flat.words
+                  (dst * Addr.words_per_page) Addr.words_per_page;
+                0) )
+    in
+    (match (op, real) with M_alloc, Ok pfn -> live := pfn :: !live | _ -> ());
+    real = model
+    && Phys_mem.free_frames mem = List.length flat.free_list
+  in
+  List.for_all step ops
+  && List.for_all
+       (fun pfn ->
+         List.for_all
+           (fun w ->
+             Phys_mem.read mem ~pfn ~offset:(w * Addr.word_size)
+             = flat.words.((pfn * Addr.words_per_page) + w))
+           (List.init Addr.words_per_page Fun.id))
+       (List.init mem_frames Fun.id)
+
+let phys_mem_qcheck =
+  QCheck.Test.make ~name:"phys_mem matches flat reference" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+        Gen.(list_size (int_range 0 60) gen_mem_op))
+    phys_mem_matches_flat
+
 (* ------------------------------------------------------------------ *)
 (* Page_table: compared against a flat hashtable reference model *)
 
@@ -331,6 +507,10 @@ let () =
           Alcotest.test_case "read/write" `Quick test_phys_mem_rw;
           Alcotest.test_case "exhaustion" `Quick test_phys_mem_exhaustion;
           Alcotest.test_case "copy frame" `Quick test_copy_frame;
+          Alcotest.test_case "unbacked frames" `Quick
+            test_phys_mem_unbacked_frames;
+          Alcotest.test_case "bad frame" `Quick test_phys_mem_bad_frame;
+          QCheck_alcotest.to_alcotest phys_mem_qcheck;
         ] );
       ( "page_table",
         QCheck_alcotest.to_alcotest pt_qcheck

@@ -190,6 +190,94 @@ let test_xpr_disable_reset () =
   Xpr.reset x;
   Alcotest.(check int) "reset clears" 0 (Xpr.recorded x)
 
+(* Xpr against a reference ring: every event recorded since the last
+   reset, of which the newest [capacity] survive.  Event [i] carries [i]
+   in [arg1] and its code cycles, so order and content are both checked. *)
+
+type xpr_op = X_record of int (* this many events *) | X_reset | X_toggle
+
+let xpr_capacities = [ 1; 3; 64; 65; 200 ]
+
+let xpr_matches_reference ~capacity ops =
+  let x = Xpr.create ~capacity () in
+  let log = ref [] (* newest first *) and n = ref 0 and enabled = ref true in
+  let agrees () =
+    let surviving = List.rev (List.filteri (fun i _ -> i < capacity) !log) in
+    List.map (fun e -> e.Xpr.arg1) (Xpr.to_list x) = surviving
+    && Xpr.recorded x = List.length !log
+    && Xpr.overflowed x = (List.length !log > capacity)
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | X_record k ->
+          for _ = 1 to k do
+            incr n;
+            let code =
+              match !n mod 3 with
+              | 0 -> Xpr.Shoot_initiator
+              | 1 -> Xpr.Shoot_responder
+              | _ -> Xpr.Custom !n
+            in
+            Xpr.record x ~code ~cpu:0 ~timestamp:(float_of_int !n) ~arg1:!n ();
+            if !enabled then log := !n :: !log
+          done
+      | X_reset ->
+          Xpr.reset x;
+          log := []
+      | X_toggle ->
+          if !enabled then Xpr.disable x else Xpr.enable x;
+          enabled := not !enabled);
+      agrees ())
+    ops
+
+(* Counts on both sides of every growth point (64, 128, ...) and every
+   wrap point (capacity, 2 x capacity), each on a fresh ring and again
+   after a reset. *)
+let test_xpr_growth_and_wrap () =
+  List.iter
+    (fun capacity ->
+      let points =
+        [ 0; 1; 64; 128; 256; capacity; 2 * capacity; (3 * capacity) + 5 ]
+      in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun k ->
+              if k >= 0 then
+                Alcotest.(check bool)
+                  (Printf.sprintf "capacity %d, %d events" capacity k)
+                  true
+                  (xpr_matches_reference ~capacity
+                     [ X_record k; X_reset; X_record k ]))
+            [ p - 1; p; p + 1 ])
+        points)
+    xpr_capacities
+
+let xpr_qcheck =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun k -> X_record k) (int_range 0 150));
+          (1, return X_reset);
+          (1, return X_toggle);
+        ])
+  in
+  let show = function
+    | X_record k -> Printf.sprintf "record %d" k
+    | X_reset -> "reset"
+    | X_toggle -> "toggle"
+  in
+  QCheck.Test.make ~name:"xpr matches reference ring" ~count:200
+    QCheck.(
+      make
+        ~print:(fun (c, ops) ->
+          Printf.sprintf "capacity %d: %s" c
+            (String.concat "; " (List.map show ops)))
+        Gen.(pair (oneofl xpr_capacities) (list_size (int_range 0 12) gen_op)))
+    (fun (capacity, ops) -> xpr_matches_reference ~capacity ops)
+
 let test_summary_extraction () =
   let x = Xpr.create () in
   Xpr.record x ~code:Xpr.Shoot_initiator ~cpu:0 ~timestamp:1.0 ~arg1:1 ~arg2:3
@@ -259,6 +347,8 @@ let () =
           Alcotest.test_case "overflow semantics" `Quick
             test_xpr_overflow_semantics;
           Alcotest.test_case "disable/reset" `Quick test_xpr_disable_reset;
+          Alcotest.test_case "growth and wrap" `Quick test_xpr_growth_and_wrap;
+          QCheck_alcotest.to_alcotest xpr_qcheck;
           Alcotest.test_case "summary extraction" `Quick
             test_summary_extraction;
         ] );

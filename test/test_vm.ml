@@ -359,6 +359,32 @@ let test_vm_copy_between_tasks () =
         | Error _ -> Alcotest.fail "read copied"
       done)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation must not depend on how many maps the process made before:
+   identical runs late in a long process (a benchmark pass, a model-check
+   sweep) must allocate exactly what they did early on. *)
+
+let test_alloc_independent_of_process_history () =
+  let spec = List.hd Check.Scenario.all in
+  let minor_words_of_run () =
+    let before = Gc.minor_words () in
+    let o = Check.Scenario.run ~cpus:2 spec ~prefix:[||] () in
+    let after = Gc.minor_words () in
+    Alcotest.(check bool) "baseline schedule passes" true
+      (o.Check.Scenario.verdict = Check.Scenario.Pass);
+    after -. before
+  in
+  ignore (minor_words_of_run ());
+  let early = minor_words_of_run () in
+  let machine = Vm.Machine.create ~params:quiet () in
+  for _ = 1 to 10_001 do
+    ignore
+      (Vm_map.create ~pmap:machine.Vm.Machine.ctx.Core.Pmap.kernel_pmap
+         ~lo:Task.user_lo_vpn ~hi:Task.user_hi_vpn)
+  done;
+  let late = minor_words_of_run () in
+  Alcotest.(check (float 0.0)) "same minor words" early late
+
 let () =
   Alcotest.run "vm"
     [
@@ -386,5 +412,10 @@ let () =
           Alcotest.test_case "terminate releases" `Quick
             test_task_terminate_releases_memory;
           Alcotest.test_case "vm_copy" `Quick test_vm_copy_between_tasks;
+        ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "allocation independent of process history"
+            `Quick test_alloc_independent_of_process_history;
         ] );
     ]
