@@ -88,23 +88,26 @@ let print_elide ~jobs ~scale ~emit_json =
   else print_string (Experiments.Elision.render e);
   if not (Experiments.Elision.elision_helps e) then exit 1
 
-let run_tester ~children ~policy =
-  let params =
-    match policy with
-    | "shootdown" -> Sim.Params.default
-    | "none" -> { Sim.Params.default with consistency = Sim.Params.No_consistency }
-    | "timer" ->
-        { Sim.Params.default with consistency = Sim.Params.Timer_flush 5_000.0 }
-    | "hw" ->
-        {
-          Sim.Params.default with
-          consistency = Sim.Params.Hw_remote;
-          tlb_interlocked_refmod = true;
-        }
-    | "deferred" ->
-        { Sim.Params.default with consistency = Sim.Params.Deferred_free 2_000.0 }
-    | other -> failwith (Printf.sprintf "unknown policy %S" other)
-  in
+let policies =
+  [
+    ("shootdown", Sim.Params.default);
+    ( "none",
+      { Sim.Params.default with consistency = Sim.Params.No_consistency } );
+    ( "timer",
+      { Sim.Params.default with consistency = Sim.Params.Timer_flush 5_000.0 }
+    );
+    ( "hw",
+      {
+        Sim.Params.default with
+        consistency = Sim.Params.Hw_remote;
+        tlb_interlocked_refmod = true;
+      } );
+    ( "deferred",
+      { Sim.Params.default with consistency = Sim.Params.Deferred_free 2_000.0 }
+    );
+  ]
+
+let run_tester ~children ~policy:(policy, params) =
   let r = Workloads.Tlb_tester.run_fresh ~params ~children ~seed:42L () in
   Printf.printf
     "policy=%s children=%d consistent=%b violations=%d processors=%d \
@@ -114,6 +117,17 @@ let run_tester ~children ~policy =
     r.Workloads.Tlb_tester.initiator_elapsed
     r.Workloads.Tlb_tester.increments_total
 
+type trace_workload = Tester | Mach | Parthenon | Agora | Camelot
+
+let trace_workloads =
+  [
+    ("tester", Tester);
+    ("mach", Mach);
+    ("parthenon", Parthenon);
+    ("agora", Agora);
+    ("camelot", Camelot);
+  ]
+
 (* Replay a workload with the structured span tracer attached and dump
    the stream — the machine-readable "anatomy of a shootdown".  With
    --perfetto the same stream is written as a Chrome trace-event file
@@ -122,8 +136,8 @@ let run_tester ~children ~policy =
    prof.<category> attribution slices. *)
 let run_trace ~workload ~children ~scale ~emit_json ~perfetto =
   let tr = Instrument.Trace.create () in
-  (match String.lowercase_ascii workload with
-  | "tester" ->
+  (match workload with
+  | Tester ->
       let machine = Vm.Machine.create ~params:Sim.Params.default () in
       machine.Vm.Machine.ctx.Core.Pmap.trace <- Some tr;
       Sim.Engine.set_tracer machine.Vm.Machine.eng (Some tr);
@@ -133,26 +147,22 @@ let run_trace ~workload ~children ~scale ~emit_json ~perfetto =
       Instrument.Profile.set_tracer profile (Some tr);
       Vm.Machine.attach_profile machine profile;
       ignore (Workloads.Tlb_tester.run machine ~children ())
-  | "mach" ->
+  | Mach ->
       ignore
         (Workloads.Mach_build.run ~trace:tr
            ~cfg:(Experiments.Apps.scaled_mach scale) ())
-  | "parthenon" ->
+  | Parthenon ->
       ignore
         (Workloads.Parthenon.run ~trace:tr
            ~cfg:(Experiments.Apps.scaled_parthenon scale) ())
-  | "agora" ->
+  | Agora ->
       ignore
         (Workloads.Agora.run ~trace:tr
            ~cfg:(Experiments.Apps.scaled_agora scale) ())
-  | "camelot" ->
+  | Camelot ->
       ignore
         (Workloads.Camelot.run ~trace:tr
-           ~cfg:(Experiments.Apps.scaled_camelot scale) ())
-  | other ->
-      failwith
-        (Printf.sprintf
-           "unknown workload %S (tester|mach|parthenon|agora|camelot)" other));
+           ~cfg:(Experiments.Apps.scaled_camelot scale) ()));
   (* A capped ring that wrapped lost its oldest spans: say so on stderr
      at report time, whatever the output format, so a truncated stream
      is never mistaken for a complete one. *)
@@ -344,10 +354,14 @@ let children_arg =
   Arg.(value & opt int 4 & info [ "children" ] ~doc:"Tester child threads.")
 
 let policy_arg =
+  let named = List.map (fun (name, p) -> (name, (name, p))) policies in
   Arg.(
     value
-    & opt string "shootdown"
-    & info [ "policy" ] ~doc:"Consistency policy: shootdown|none|timer|hw|deferred.")
+    & opt (enum named) (List.assoc "shootdown" named)
+    & info [ "policy" ]
+        ~doc:
+          (Printf.sprintf "Consistency policy: %s."
+             (doc_alts_enum policies)))
 
 let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 
@@ -452,9 +466,11 @@ let trace_cmd =
   let workload_arg =
     Arg.(
       value
-      & opt string "tester"
+      & opt (enum trace_workloads) Tester
       & info [ "workload" ]
-          ~doc:"Workload to replay: tester|mach|parthenon|agora|camelot.")
+          ~doc:
+            (Printf.sprintf "Workload to replay: %s."
+               (doc_alts_enum trace_workloads)))
   in
   let trace_scale_arg =
     Arg.(

@@ -509,11 +509,10 @@ let fingerprint (machine : Machine.t) =
     (fun q -> Buffer.add_char b (if Core.Action.is_empty q then '0' else '1'))
     ctx.Pmap.queues;
   Buffer.add_char b 'P';
-  Array.iter
-    (fun p ->
-      Buffer.add_string b p;
-      Buffer.add_char b ',')
-    ctx.Pmap.shoot_phase;
+  for cpu = 0 to Pmap.ncpus ctx - 1 do
+    Pmap.add_phase_label b ctx cpu;
+    Buffer.add_char b ','
+  done;
   let lock l =
     match Sim.Spinlock.holder l with
     | Some c -> Buffer.add_string b (string_of_int c)

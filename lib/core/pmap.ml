@@ -52,6 +52,23 @@ type mutant =
   | Skip_generation_bump (* elided unmap skips the round AND the bump,
                             leaving remote stale entries fully live *)
 
+(* Per-CPU protocol progress for the watchdog's escalation report and the
+   checker's state fingerprint: an immediate on the hot path, rendered by
+   [add_phase_label] only where it is read. *)
+type phase =
+  | Booted
+  | Activate_spin
+  | Activated
+  | Responding
+  | Responded
+  | Acquiring
+  | Locked
+  | Shooting
+  | Updating
+  | Gen_bump
+  | Force_invalidate
+  | Done
+
 type ctx = {
   params : Sim.Params.t;
   eng : Sim.Engine.t;
@@ -64,14 +81,8 @@ type ctx = {
       (* structured span stream; attached by the trace CLI / workload
          drivers, None (and cost-free) otherwise *)
   mutable flight : Instrument.Flight.t option;
-      (* per-round flight recorder (docs/TAIL.md); same one-branch
-         contract as [trace] when detached *)
-  resp_enter_at : float array;
-  shoot_start_at : float array;
-      (* per-CPU timestamps of the last responder.enter /
-         initiator.start, written only while a tracer is attached:
-         Shoot_trace uses them to stamp the matching responder.ack and
-         initiator.update-done spans with a dur attribute *)
+      (* per-round flight recorder (docs/TAIL.md); both sinks are fed by
+         Probe, which costs one test per protocol point when detached *)
   (* --- shootdown state (paper Figure 1) --- *)
   active : bool array; (* processors actively translating *)
   action_needed : bool array;
@@ -95,8 +106,11 @@ type ctx = {
       (* gather batches whose deferred invalidations have not yet run *)
   mutable mutant : mutant;
       (* model-checker-only protocol mutation; No_mutant in real runs *)
+  (* --- diagnostics, rendered only where read (phase_label, note_label) --- *)
+  phase : phase array; (* per-cpu protocol progress *)
+  phase_pmap : t array; (* the pmap an initiator phase names *)
+  awaiting : int array; (* the responder an initiator's barrier waits on *)
   (* --- statistics --- *)
-  shoot_phase : string array; (* per-cpu diagnostic: initiator progress *)
   mutable shootdowns_initiated : int;
   mutable shootdowns_skipped_lazy : int;
   mutable ipis_sent : int;
@@ -149,8 +163,6 @@ let create_ctx ~eng ~bus ~cpus ~mmus ~mem ~params ~xpr =
       xpr;
       trace = None;
       flight = None;
-      resp_enter_at = Array.make n nan;
-      shoot_start_at = Array.make n nan;
       active = Array.make n false;
       action_needed = Array.make n false;
       draining = Array.make n false;
@@ -165,7 +177,9 @@ let create_ctx ~eng ~bus ~cpus ~mmus ~mem ~params ~xpr =
       next_space = 1;
       open_batches = [];
       mutant = No_mutant;
-      shoot_phase = Array.make n "-";
+      phase = Array.make n Booted;
+      phase_pmap = Array.make n kernel_pmap;
+      awaiting = Array.make n (-1);
       shootdowns_initiated = 0;
       shootdowns_skipped_lazy = 0;
       ipis_sent = 0;
@@ -190,6 +204,39 @@ let create_ctx ~eng ~bus ~cpus ~mmus ~mem ~params ~xpr =
       Mmu.set_kernel mmu { Mmu.space_id = 0; pt = kernel_pmap.pt })
     mmus;
   ctx
+
+let phase_name = function
+  | Booted -> "-"
+  | Activate_spin -> "activate-spin"
+  | Activated -> "activated"
+  | Responding -> "responding"
+  | Responded -> "responded"
+  | Acquiring -> "acquiring"
+  | Locked -> "locked"
+  | Shooting -> "shooting"
+  | Updating -> "updating"
+  | Gen_bump -> "gen-bump"
+  | Force_invalidate -> "force-invalidate"
+  | Done -> "done"
+
+let add_phase_label b ctx cpu =
+  let phase = ctx.phase.(cpu) in
+  Buffer.add_string b (phase_name phase);
+  match phase with
+  | Acquiring | Locked | Shooting | Updating | Gen_bump | Force_invalidate ->
+      Buffer.add_char b ':';
+      Buffer.add_string b ctx.phase_pmap.(cpu).pname
+  | Booted | Activate_spin | Activated | Responding | Responded | Done -> ()
+
+(* The barrier's note, recognised by [==]: the awaited responder is in
+   [awaiting], so setting the note per responder allocates nothing. *)
+let await_ack_note = "await-ack"
+
+let note_label ctx (cpu : Sim.Cpu.t) =
+  let note = cpu.Sim.Cpu.note in
+  if note == await_ack_note then
+    Printf.sprintf "await-ack:%d" ctx.awaiting.(Sim.Cpu.id cpu)
+  else note
 
 let create_pmap ctx ~name =
   let id = ctx.next_space in
@@ -220,7 +267,7 @@ let activate ctx pmap (cpu : Sim.Cpu.t) =
      initiator waiting for this processor's acknowledgement, the shootdown
      interrupt must be serviceable from inside this very loop or the two
      would deadlock. *)
-  ctx.shoot_phase.(id) <- "activate-spin";
+  ctx.phase.(id) <- Activate_spin;
   cpu.Sim.Cpu.note <- "activate-spin";
   Sim.Cpu.prof_enter cpu Instrument.Profile.Lock_spin;
   while
@@ -230,7 +277,7 @@ let activate ctx pmap (cpu : Sim.Cpu.t) =
     Sim.Cpu.spin_poll cpu
   done;
   Sim.Cpu.prof_leave cpu;
-  ctx.shoot_phase.(id) <- "activated"
+  ctx.phase.(id) <- Activated
 
 let deactivate ctx pmap (cpu : Sim.Cpu.t) =
   let id = Sim.Cpu.id cpu in

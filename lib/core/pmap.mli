@@ -46,6 +46,22 @@ type mutant =
       (** an elided unmap skips the shootdown round {e and} the
           generation bump, leaving remote stale entries fully live *)
 
+(** Per-CPU protocol progress for diagnostics, stored as an immediate and
+    rendered by {!add_phase_label} only where it is read. *)
+type phase =
+  | Booted  (** ["-"] *)
+  | Activate_spin  (** ["activate-spin"]: waiting out a pmap update *)
+  | Activated  (** ["activated"] *)
+  | Responding  (** ["responding"]: in the shootdown interrupt handler *)
+  | Responded  (** ["responded"] *)
+  | Acquiring  (** ["acquiring:<pmap>"]: initiator taking the pmap lock *)
+  | Locked  (** ["locked:<pmap>"] *)
+  | Shooting  (** ["shooting:<pmap>"]: queueing, IPIs, ack barrier *)
+  | Updating  (** ["updating:<pmap>"]: the page-table change *)
+  | Gen_bump  (** ["gen-bump:<pmap>"]: an elided round's bump *)
+  | Force_invalidate  (** ["force-invalidate:<pmap>"] *)
+  | Done  (** ["done"] *)
+
 type ctx = {
   params : Sim.Params.t;
   eng : Sim.Engine.t;
@@ -57,14 +73,9 @@ type ctx = {
   mutable trace : Instrument.Trace.t option;
       (** structured span stream; [None] (and cost-free) unless attached *)
   mutable flight : Instrument.Flight.t option;
-      (** per-round flight recorder (docs/TAIL.md); [None] (one branch,
-          cost-free) unless attached *)
-  resp_enter_at : float array;
-  shoot_start_at : float array;
-      (** per-CPU timestamps of the last [responder.enter] /
-          [initiator.start]; written only while a tracer is attached, so
-          [Shoot_trace] can give the matching [responder.ack] and
-          [initiator.update-done] spans a [dur] attribute *)
+      (** per-round flight recorder (docs/TAIL.md); [None] unless
+          attached.  Both sinks are fed by [Probe], whose detached cost is
+          one test per protocol point *)
   active : bool array;  (** processors actively translating *)
   action_needed : bool array;
   draining : bool array;
@@ -86,7 +97,10 @@ type ctx = {
       (** gather batches whose deferred invalidations have not yet run *)
   mutable mutant : mutant;
       (** model-checker-only protocol mutation; [No_mutant] in real runs *)
-  shoot_phase : string array;  (** per-CPU diagnostic label *)
+  phase : phase array;  (** per-CPU protocol progress (diagnostic) *)
+  phase_pmap : t array;
+      (** the pmap named by [Acquiring] .. [Force_invalidate] *)
+  awaiting : int array;  (** the responder named by {!await_ack_note} *)
   mutable shootdowns_initiated : int;
   mutable shootdowns_skipped_lazy : int;
   mutable ipis_sent : int;
@@ -149,3 +163,18 @@ val batch_covers : ctx -> space:int -> vpn:Hw.Addr.vpn -> bool
     legally linger in a TLB until the batch flushes. *)
 
 val vpn_bounds : t -> int * int
+
+(** {1 Diagnostic labels} *)
+
+val add_phase_label : Buffer.t -> ctx -> int -> unit
+(** [add_phase_label b ctx cpu] appends CPU [cpu]'s phase label to [b],
+    e.g. ["shooting:user3"], without allocating. *)
+
+val await_ack_note : string
+(** The [Sim.Cpu.note] of an initiator waiting at its ack barrier for
+    responder [awaiting]: a shared constant, so setting it allocates
+    nothing. *)
+
+val note_label : ctx -> Sim.Cpu.t -> string
+(** The CPU's note as text: ["await-ack:<cpu>"] for {!await_ack_note},
+    the note itself otherwise. *)

@@ -22,13 +22,10 @@ module Page_table = Hw.Page_table
 module Mmu = Hw.Mmu
 module Tlb = Hw.Tlb
 module Xpr = Instrument.Xpr
-module Flight = Instrument.Flight
 
-(* Flight-recorder hook (docs/TAIL.md): one branch of cost while no
-   recorder is attached — the same contract as tracing and profiling.
-   The hooks only read the clock; they never advance it and draw nothing
-   from any PRNG, so a recorded run is byte-identical to a bare one. *)
-let fl ctx f = match ctx.Pmap.flight with Some rec_ -> f rec_ | None -> ()
+(* Every protocol point below is instrumented the same way (docs/
+   OBSERVABILITY.md): [if Probe.attached ctx then Probe.emit ...], one
+   test and no allocation while no sink is attached. *)
 
 (* ------------------------------------------------------------------ *)
 (* TLB invalidation: below the threshold invalidate entries one at a
@@ -49,7 +46,8 @@ let invalidate_local_ranges ctx (cpu : Sim.Cpu.t) ~space ~ranges =
   let tlb = Mmu.tlb ctx.Pmap.mmus.(Sim.Cpu.id cpu) in
   let pages = range_pages ranges in
   let flush = pages >= params.tlb_flush_threshold in
-  Shoot_trace.record_tlb ctx ~cpu:(Sim.Cpu.id cpu) ~space ~pages ~flush;
+  if Probe.attached ctx then
+    Probe.emit ctx ~cpu:(Sim.Cpu.id cpu) (Probe.Tlb { space; pages; flush });
   if flush then begin
     Tlb.flush_all tlb;
     Sim.Cpu.raw_delay cpu params.tlb_flush_cost
@@ -65,6 +63,19 @@ let invalidate_local_ranges ctx (cpu : Sim.Cpu.t) ~space ~ranges =
 let invalidate_local ctx (cpu : Sim.Cpu.t) ~space ~lo ~hi =
   invalidate_local_ranges ctx cpu ~space ~ranges:[ (lo, hi) ]
 
+(* A responder's flush of one space, or of the whole buffer for [space] =
+   -1.  Under the checker's Skip_responder_invalidate mutant the flush is
+   reported but the TLB is left alone. *)
+let flush_local ctx (cpu : Sim.Cpu.t) ~space ~pages =
+  let id = Sim.Cpu.id cpu in
+  if Probe.attached ctx then
+    Probe.emit ctx ~cpu:id (Probe.Tlb { space; pages; flush = true });
+  if ctx.Pmap.mutant <> Pmap.Skip_responder_invalidate then begin
+    let tlb = Mmu.tlb ctx.Pmap.mmus.(id) in
+    if space < 0 then Tlb.flush_all tlb else Tlb.flush_space tlb ~space;
+    Sim.Cpu.raw_delay cpu ctx.Pmap.params.tlb_flush_cost
+  end
+
 let perform_action ctx (cpu : Sim.Cpu.t) = function
   | Action.Invalidate_range { space; lo; hi } ->
       let params = ctx.Pmap.params in
@@ -77,20 +88,12 @@ let perform_action ctx (cpu : Sim.Cpu.t) = function
           | Some p -> p.Pmap.space_id
           | None -> -1
         in
-        if space <> 0 && space <> current then begin
-          Shoot_trace.record_tlb ctx ~cpu:(Sim.Cpu.id cpu) ~space
-            ~pages:(hi - lo) ~flush:true;
-          Tlb.flush_space (Mmu.tlb ctx.Pmap.mmus.(Sim.Cpu.id cpu)) ~space;
-          Sim.Cpu.raw_delay cpu params.tlb_flush_cost
-        end
+        if space <> 0 && space <> current then
+          flush_local ctx cpu ~space ~pages:(hi - lo)
         else invalidate_local ctx cpu ~space ~lo ~hi
       end
       else invalidate_local ctx cpu ~space ~lo ~hi
-  | Action.Flush_space space ->
-      Shoot_trace.record_tlb ctx ~cpu:(Sim.Cpu.id cpu) ~space ~pages:0
-        ~flush:true;
-      Tlb.flush_space (Mmu.tlb ctx.Pmap.mmus.(Sim.Cpu.id cpu)) ~space;
-      Sim.Cpu.raw_delay cpu ctx.Pmap.params.tlb_flush_cost
+  | Action.Flush_space space -> flush_local ctx cpu ~space ~pages:0
 
 (* Drain this CPU's action queue (queue lock held by callee).  Returns
    [true] if any drained action targeted the kernel pmap, for attributing
@@ -107,22 +110,11 @@ let process_queued_actions ctx (cpu : Sim.Cpu.t) =
   ctx.Pmap.draining.(id) <- true;
   ctx.Pmap.action_needed.(id) <- false;
   Sim.Spinlock.release q.Action.lock cpu ~saved_ipl:saved;
-  (* Seeded bug for the model checker's self-test (Pmap.mutant): the
-     responder drains its queue — clearing action_needed, satisfying the
-     initiator — but never touches its TLB, leaving the stale mapping
-     live.  Never set outside checker runs. *)
-  let skip_invalidate =
-    ctx.Pmap.mutant = Pmap.Skip_responder_invalidate
-  in
   let touched_kernel =
     match work with
     | `Flush_everything ->
         (* queue overflowed: the whole TLB goes, whatever was queued *)
-        Shoot_trace.record_tlb ctx ~cpu:id ~space:(-1) ~pages:0 ~flush:true;
-        if not skip_invalidate then begin
-          Tlb.flush_all (Mmu.tlb ctx.Pmap.mmus.(id));
-          Sim.Cpu.raw_delay cpu ctx.Pmap.params.tlb_flush_cost
-        end;
+        flush_local ctx cpu ~space:(-1) ~pages:0;
         true
     | `Actions actions ->
         let touched_kernel =
@@ -145,17 +137,16 @@ let process_queued_actions ctx (cpu : Sim.Cpu.t) =
            is cheaper as one whole-buffer flush than as N range
            invalidations.  Gated on [batch_shootdowns] so that unbatched
            runs execute the historical per-action path unchanged. *)
-        if skip_invalidate then ()
+        (* Seeded bug for the model checker's self-test (Pmap.mutant):
+           the responder drains its queue — clearing action_needed,
+           satisfying the initiator — but never touches its TLB, leaving
+           the stale mapping live.  Never set outside checker runs. *)
+        if ctx.Pmap.mutant = Pmap.Skip_responder_invalidate then ()
         else if
           ctx.Pmap.params.batch_shootdowns
           && List.length actions > 1
           && total_pages >= ctx.Pmap.params.tlb_flush_threshold
-        then begin
-          Shoot_trace.record_tlb ctx ~cpu:id ~space:(-1) ~pages:total_pages
-            ~flush:true;
-          Tlb.flush_all (Mmu.tlb ctx.Pmap.mmus.(id));
-          Sim.Cpu.raw_delay cpu ctx.Pmap.params.tlb_flush_cost
-        end
+        then flush_local ctx cpu ~space:(-1) ~pages:total_pages
         else List.iter (perform_action ctx cpu) actions;
         touched_kernel
   in
@@ -194,12 +185,9 @@ let relevant_pmap_locked ctx (cpu : Sim.Cpu.t) =
    shootdown interrupts are blocked while it runs. *)
 let responder ctx (cpu : Sim.Cpu.t) =
   let id = Sim.Cpu.id cpu in
-  ctx.Pmap.shoot_phase.(id) <- "responding";
-  Shoot_trace.record ctx ~code:Shoot_trace.c_resp_enter ~cpu:id ();
+  ctx.Pmap.phase.(id) <- Pmap.Responding;
+  if Probe.attached ctx then Probe.emit ctx ~cpu:id Probe.Enter;
   let entered = Sim.Cpu.now cpu in
-  fl ctx (fun f ->
-      Flight.responder_enter f ~cpu:id ~at:entered
-        ~posted:cpu.Sim.Cpu.last_shoot_posted_at);
   let saved = Sim.Cpu.set_ipl cpu Sim.Interrupt.ipl_high in
   (* Rejoin the set we were found in: an interrupt caught by an idle
      processor (raced against going idle) must not mark it active, or a
@@ -218,8 +206,7 @@ let responder ctx (cpu : Sim.Cpu.t) =
     (* the active set is kernel shared state, homed on node 0 *)
     Sim.Bus.access ctx.Pmap.bus ~who:id ~home:0 ();
     cpu.Sim.Cpu.note <- "responder-spin";
-    Shoot_trace.record ctx ~code:Shoot_trace.c_resp_ack ~cpu:id ();
-    fl ctx (fun f -> Flight.responder_ack f ~cpu:id ~at:(Sim.Cpu.now cpu));
+    if Probe.attached ctx then Probe.emit ctx ~cpu:id Probe.Ack;
     if responder_must_stall ctx.Pmap.params then begin
       Sim.Cpu.prof_enter cpu Instrument.Profile.Ack_wait;
       while relevant_pmap_locked ctx cpu do
@@ -228,17 +215,13 @@ let responder ctx (cpu : Sim.Cpu.t) =
       Sim.Cpu.prof_leave cpu
     end;
     (* Phase 4: drain the queued invalidations and rejoin. *)
-    Shoot_trace.record ctx ~code:Shoot_trace.c_resp_drain ~cpu:id ();
-    fl ctx (fun f -> Flight.responder_drain f ~cpu:id ~at:(Sim.Cpu.now cpu));
+    if Probe.attached ctx then Probe.emit ctx ~cpu:id Probe.Drain;
     if process_queued_actions ctx cpu then touched_kernel := true;
     ctx.Pmap.active.(id) <- was_active;
     Sim.Bus.access ctx.Pmap.bus ~who:id ~home:0 ()
   done;
-  ctx.Pmap.shoot_phase.(id) <- "responded";
-  if !did_work then begin
-    Shoot_trace.record ctx ~code:Shoot_trace.c_resp_done ~cpu:id ();
-    fl ctx (fun f -> Flight.responder_done f ~cpu:id ~at:(Sim.Cpu.now cpu))
-  end;
+  ctx.Pmap.phase.(id) <- Pmap.Responded;
+  if !did_work && Probe.attached ctx then Probe.emit ctx ~cpu:id Probe.Done;
   Sim.Cpu.restore_ipl cpu saved;
   let elapsed = Sim.Cpu.now cpu -. entered in
   ctx.Pmap.shootdown_responder_time <- ctx.Pmap.shootdown_responder_time +. elapsed;
@@ -268,7 +251,7 @@ let idle_check ctx (cpu : Sim.Cpu.t) =
       Sim.Cpu.prof_leave cpu;
       ignore (process_queued_actions ctx cpu)
     done;
-    Shoot_trace.record ctx ~code:Shoot_trace.c_idle_drain ~cpu:id ();
+    if Probe.attached ctx then Probe.emit ctx ~cpu:id Probe.Idle_drain;
     cpu.Sim.Cpu.note <- "idle-check-done";
     Sim.Cpu.restore_ipl cpu saved
   end
@@ -287,11 +270,8 @@ let send_ipis ctx (cpu : Sim.Cpu.t) targets =
   let eng = ctx.Pmap.eng in
   let me = Sim.Cpu.id cpu in
   let post target =
-    Shoot_trace.record ctx ~code:Shoot_trace.c_ipi_sent ~cpu:me
-      ~arg2:(Sim.Cpu.id target) ();
-    fl ctx (fun f ->
-        Flight.ipi_posted f ~cpu:me ~target:(Sim.Cpu.id target)
-          ~at:(Sim.Cpu.now cpu));
+    if Probe.attached ctx then
+      Probe.emit ctx ~cpu:me (Probe.Ipi (Sim.Cpu.id target));
     Sim.Engine.after eng params.ipi_latency (fun () ->
         Sim.Cpu.post target Sim.Interrupt.Shootdown)
   in
@@ -357,33 +337,6 @@ let send_ipis ctx (cpu : Sim.Cpu.t) targets =
           ctx.Pmap.cpus
       end
 
-(* Watchdog escalation: the initiator gives up waiting on one responder.
-   Instead of the paper's silent infinite spin, dump a structured
-   diagnostic — who is missing, what it was last seen doing, which pmap
-   and when — and let [shoot] report the abandoned CPU upward so
-   [with_update] can force-invalidate its TLB after the update. *)
-let escalate ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~(target : Sim.Cpu.t)
-    ~retries =
-  let me = Sim.Cpu.id cpu in
-  let oid = Sim.Cpu.id target in
-  ctx.Pmap.watchdog_escalations <- ctx.Pmap.watchdog_escalations + 1;
-  Shoot_trace.record ctx ~code:Shoot_trace.c_watchdog_escalate ~cpu:me
-    ~arg2:oid ();
-  match ctx.Pmap.trace with
-  | None -> ()
-  | Some tr ->
-      Instrument.Trace.emit tr ~name:"watchdog.escalation" ~cpu:me
-        ~at:(Sim.Cpu.now cpu)
-        ~attrs:
-          [
-            ("missing", Instrument.Trace.Int oid);
-            ("pmap", Instrument.Trace.Str pmap.Pmap.pname);
-            ("retries", Instrument.Trace.Int retries);
-            ("missing_phase", Instrument.Trace.Str ctx.Pmap.shoot_phase.(oid));
-            ("missing_note", Instrument.Trace.Str target.Sim.Cpu.note);
-          ]
-        ()
-
 (* The Mach shootdown initiator proper (phases 1-3). Caller holds the pmap
    lock and has decided an inconsistency is possible.  Queues one range
    action per coalesced range — a batched flush therefore needs only this
@@ -397,11 +350,11 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
   let params = ctx.Pmap.params in
   let me = Sim.Cpu.id cpu in
   ctx.Pmap.shootdowns_initiated <- ctx.Pmap.shootdowns_initiated + 1;
-  fl ctx (fun f -> Flight.round_shoot f ~cpu:me ~at:(Sim.Cpu.now cpu));
+  if Probe.attached ctx then Probe.emit ctx ~cpu:me Probe.Shoot;
   (* Local TLB first: the initiator's own buffer may hold the mapping. *)
   if pmap.Pmap.in_use.(me) then
     invalidate_local_ranges ctx cpu ~space:pmap.Pmap.space_id ~ranges;
-  Shoot_trace.record ctx ~code:Shoot_trace.c_initiator_start ~cpu:me ();
+  if Probe.attached ctx then Probe.emit ctx ~cpu:me Probe.Start;
   let shot_at = ref 0 in
   let abandoned = ref [] in
   if Pmap.other_users ctx pmap ~me then begin
@@ -430,8 +383,7 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
                  homed on the responder's node *)
               Sim.Bus.access ctx.Pmap.bus ~n:4 ~who:me ~home:oid ())
             ranges;
-          Shoot_trace.record ctx ~code:Shoot_trace.c_queue_action ~cpu:me
-            ~arg2:oid ();
+          if Probe.attached ctx then Probe.emit ctx ~cpu:me (Probe.Queue oid);
           Sim.Spinlock.release q.Action.lock cpu ~saved_ipl:saved;
           if not other.Sim.Cpu.idle then begin
             incr shot_at;
@@ -463,12 +415,13 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
     in
     let timeout = params.shoot_watchdog_timeout in
     let barrier_started = Sim.Cpu.now cpu in
-    fl ctx (fun f -> Flight.barrier_start f ~cpu:me ~at:barrier_started);
+    if Probe.attached ctx then Probe.emit ctx ~cpu:me Probe.Barrier;
     Sim.Cpu.prof_enter cpu Instrument.Profile.Ack_wait;
     List.iter
       (fun (other : Sim.Cpu.t) ->
         let oid = Sim.Cpu.id other in
-        cpu.Sim.Cpu.note <- Printf.sprintf "await-ack:%d" oid;
+        cpu.Sim.Cpu.note <- Pmap.await_ack_note;
+        ctx.Pmap.awaiting.(me) <- oid;
         if timeout <= 0.0 then
           (* watchdog disabled: the paper's original unbounded spin *)
           while not (acked oid) do
@@ -490,14 +443,8 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
               if !retries < params.shoot_watchdog_retries then begin
                 incr retries;
                 ctx.Pmap.watchdog_retries <- ctx.Pmap.watchdog_retries + 1;
-                Shoot_trace.record ctx ~code:Shoot_trace.c_watchdog_retry
-                  ~cpu:me ~arg2:oid ();
-                fl ctx (fun f ->
-                    let at = Sim.Cpu.now cpu in
-                    Flight.retry f ~cpu:me ~at;
-                    (* a real IPI on the wire; r_posted keeps the
-                       original raise for delivery attribution *)
-                    Flight.ipi_posted f ~cpu:me ~target:oid ~at);
+                if Probe.attached ctx then
+                  Probe.emit ctx ~cpu:me (Probe.Retry oid);
                 Sim.Cpu.raw_delay cpu params.ipi_send_cost;
                 Sim.Bus.access ctx.Pmap.bus ~who:me ~home:oid ();
                 ctx.Pmap.ipis_sent <- ctx.Pmap.ipis_sent + 1;
@@ -506,7 +453,14 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
                 deadline := Sim.Cpu.now cpu +. timeout
               end
               else begin
-                escalate ctx cpu pmap ~target:other ~retries:!retries;
+                (* escalate instead of the paper's silent infinite spin:
+                   report the missing CPU, then force-invalidate it *)
+                ctx.Pmap.watchdog_escalations <-
+                  ctx.Pmap.watchdog_escalations + 1;
+                if Probe.attached ctx then
+                  Probe.emit ctx ~cpu:me
+                    (Probe.Escalate
+                       { target = other; pmap; retries = !retries });
                 abandoned := oid :: !abandoned;
                 waiting := false
               end
@@ -518,17 +472,12 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
     Sim.Cpu.prof_leave cpu;
     Sim.Cpu.prof_observe cpu ~name:"shoot/barrier_us"
       (Sim.Cpu.now cpu -. barrier_started);
-    fl ctx (fun f -> Flight.barrier_done f ~cpu:me ~at:(Sim.Cpu.now cpu));
-    Shoot_trace.record ctx ~code:Shoot_trace.c_barrier_done ~cpu:me ()
+    if Probe.attached ctx then Probe.emit ctx ~cpu:me Probe.Barrier_done
     end
   end;
   (* A round with no remote users (or the checker's skip-barrier mutant)
-     never reached the barrier: collapse Post/Ack_wait here.  First
-     write wins, so a barrier that ran keeps its real boundaries. *)
-  fl ctx (fun f ->
-      let at = Sim.Cpu.now cpu in
-      Flight.barrier_start f ~cpu:me ~at;
-      Flight.barrier_done f ~cpu:me ~at);
+     never reached the barrier: Flight collapses Post/Ack_wait here. *)
+  if Probe.attached ctx then Probe.emit ctx ~cpu:me Probe.Shoot_done;
   let elapsed = Sim.Cpu.now cpu -. started in
   (* A shootdown event proper requires somebody to shoot at; invocations
      that found no other processor using the pmap only did local work. *)
@@ -544,29 +493,34 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
   List.rev !abandoned
 
 (* MC88200-style hardware remote invalidation (section 9): the initiator
-   shoots entries directly out of remote TLBs; no interrupts, no barrier.
-   Requires an MMU whose ref/mod updates are interlocked. *)
-let hw_remote_invalidate ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges =
+   shoots entries directly out of CPU [oid]'s TLB; no interrupts, no
+   barrier.  Requires an MMU whose ref/mod updates are interlocked.
+   [report] puts the invalidation on the probe stream. *)
+let remote_invalidate ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~report
+    oid =
   let params = ctx.Pmap.params in
-  Array.iter
-    (fun (other : Sim.Cpu.t) ->
-      let oid = Sim.Cpu.id other in
-      if pmap.Pmap.in_use.(oid) then begin
-        let tlb = Mmu.tlb ctx.Pmap.mmus.(oid) in
-        let pages = range_pages ranges in
-        if pages >= params.tlb_flush_threshold then
-          Tlb.flush_space tlb ~space:pmap.Pmap.space_id
-        else
-          List.iter
-            (fun (lo, hi) ->
-              Tlb.invalidate_range tlb ~space:pmap.Pmap.space_id ~lo ~hi)
-            ranges;
-        (* one bus invalidation transaction per page (or one for a flush) *)
-        let n = min pages params.tlb_flush_threshold in
-        Sim.Cpu.raw_delay cpu (params.tlb_entry_invalidate_cost *. float_of_int n);
-        Sim.Bus.access ctx.Pmap.bus ~n ~who:(Sim.Cpu.id cpu) ~home:oid ()
-      end)
-    ctx.Pmap.cpus
+  if pmap.Pmap.in_use.(oid) then begin
+    let tlb = Mmu.tlb ctx.Pmap.mmus.(oid) in
+    let space = pmap.Pmap.space_id in
+    let pages = range_pages ranges in
+    let flush = pages >= params.tlb_flush_threshold in
+    if flush then Tlb.flush_space tlb ~space
+    else
+      List.iter
+        (fun (lo, hi) -> Tlb.invalidate_range tlb ~space ~lo ~hi)
+        ranges;
+    if report && Probe.attached ctx then
+      Probe.emit ctx ~cpu:oid (Probe.Tlb { space; pages; flush });
+    (* one bus invalidation transaction per page (or one for a flush) *)
+    let n = min pages params.tlb_flush_threshold in
+    Sim.Cpu.raw_delay cpu (params.tlb_entry_invalidate_cost *. float_of_int n);
+    Sim.Bus.access ctx.Pmap.bus ~n ~who:(Sim.Cpu.id cpu) ~home:oid ()
+  end
+
+let hw_remote_invalidate ctx cpu pmap ~ranges =
+  for oid = 0 to Pmap.ncpus ctx - 1 do
+    remote_invalidate ctx cpu pmap ~ranges ~report:false oid
+  done
 
 (* Recovery for abandoned responders: with the pmap already updated (and
    still locked), shoot the affected range out of each abandoned CPU's TLB
@@ -575,29 +529,8 @@ let hw_remote_invalidate ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges =
    the already-final PTE, and any stale cached entry is destroyed before
    the pmap lock is released.  Doing this *before* the update would be
    unsound — the un-acknowledged CPU could re-cache the old mapping. *)
-let force_remote_invalidate ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges
-    targets =
-  let params = ctx.Pmap.params in
-  List.iter
-    (fun oid ->
-      if pmap.Pmap.in_use.(oid) then begin
-        let tlb = Mmu.tlb ctx.Pmap.mmus.(oid) in
-        let pages = range_pages ranges in
-        if pages >= params.tlb_flush_threshold then
-          Tlb.flush_space tlb ~space:pmap.Pmap.space_id
-        else
-          List.iter
-            (fun (lo, hi) ->
-              Tlb.invalidate_range tlb ~space:pmap.Pmap.space_id ~lo ~hi)
-            ranges;
-        Shoot_trace.record_tlb ctx ~cpu:oid ~space:pmap.Pmap.space_id ~pages
-          ~flush:(pages >= params.tlb_flush_threshold);
-        let n = min pages params.tlb_flush_threshold in
-        Sim.Cpu.raw_delay cpu
-          (params.tlb_entry_invalidate_cost *. float_of_int n);
-        Sim.Bus.access ctx.Pmap.bus ~n ~who:(Sim.Cpu.id cpu) ~home:oid ()
-      end)
-    targets
+let force_remote_invalidate ctx cpu pmap ~ranges targets =
+  List.iter (remote_invalidate ctx cpu pmap ~ranges ~report:true) targets
 
 (* ------------------------------------------------------------------ *)
 (* Generation-tagged flush elision (docs/ELISION.md).
@@ -659,8 +592,9 @@ let elide_round ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) =
    (unmap / unmap-heavy batch): for those — and only with
    [Params.elide_reuse_flushes] on, for a user pmap with remote users —
    the round is elided via [elide_round] above. *)
-let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
-    (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~may_be_inconsistent ~update =
+let with_update_ranges ?(elide_reuse = false)
+    ?(origin = Instrument.Flight.Round) ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t)
+    ~ranges ~may_be_inconsistent ~update =
   let params = ctx.Pmap.params in
   let me = Sim.Cpu.id cpu in
   (* Completion hook for the consistency oracle (cost-free when absent).
@@ -714,23 +648,26 @@ let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
       (* The flight record opens where the algorithm is entered, before
          the active-set leave and the lock acquire, so Lock_wait covers
          the full entry-to-locked interval. *)
-      fl ctx (fun f ->
-          Flight.round_start f ~cpu:me ~at:(Sim.Cpu.now cpu) ~kind:origin
-            ~pmap:pmap.Pmap.pname ~pages:(range_pages ranges));
+      if Probe.attached ctx then
+        Probe.emit ctx ~cpu:me
+          (Probe.Round_start
+             { kind = origin; pmap; pages = range_pages ranges });
       (* Figure 1: disable interrupts and leave the active set first, so a
          concurrent initiator shooting at us cannot deadlock with our wait
          (we will service its actions when we re-enable interrupts). *)
       let s = Sim.Cpu.set_ipl cpu Sim.Interrupt.ipl_high in
       let was_active = ctx.Pmap.active.(me) in
       ctx.Pmap.active.(me) <- false;
-      ctx.Pmap.shoot_phase.(me) <- "acquiring:" ^ pmap.Pmap.pname;
+      (* the initiator phases below, up to Done, all name this pmap *)
+      ctx.Pmap.phase_pmap.(me) <- pmap;
+      ctx.Pmap.phase.(me) <- Pmap.Acquiring;
       let saved = Sim.Spinlock.acquire pmap.Pmap.lock cpu in
-      ctx.Pmap.shoot_phase.(me) <- "locked:" ^ pmap.Pmap.pname;
+      ctx.Pmap.phase.(me) <- Pmap.Locked;
       (* The measured "invocation" starts here: the paper's elapsed time
          runs from entering the algorithm to being able to change the
          pmap, including the fixed bookkeeping below. *)
       let started = Sim.Cpu.now cpu in
-      fl ctx (fun f -> Flight.round_lock f ~cpu:me ~at:started);
+      if Probe.attached ctx then Probe.emit ctx ~cpu:me Probe.Lock;
       Sim.Cpu.raw_delay cpu params.shoot_entry_cost;
       let inconsistent = may_be_inconsistent () in
       (* Elide the round when the caller vouches the update only removes
@@ -748,7 +685,7 @@ let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
       in
       let abandoned =
         if inconsistent && not elide then begin
-          ctx.Pmap.shoot_phase.(me) <- "shooting:" ^ pmap.Pmap.pname;
+          ctx.Pmap.phase.(me) <- Pmap.Shooting;
           shoot ctx cpu pmap ~ranges ~pages:(range_pages ranges) ~started
         end
         else begin
@@ -757,22 +694,20 @@ let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
               ctx.Pmap.shootdowns_skipped_lazy + 1;
             (* the lazy check proved no consistency round necessary —
                nothing to attribute, drop the open record *)
-            fl ctx (fun f -> Flight.round_abort f ~cpu:me)
+            if Probe.attached ctx then Probe.emit ctx ~cpu:me Probe.Lazy_skip
           end
-          else
+          else if Probe.attached ctx then
             (* elided round: no IPIs, no barrier — Post and Ack_wait
                collapse to zero width at the decision point *)
-            fl ctx (fun f ->
-                Flight.round_no_shoot f ~cpu:me ~at:(Sim.Cpu.now cpu)
-                  ~kind:Flight.Elided);
+            Probe.emit ctx ~cpu:me Probe.Elided;
           []
         end
       in
       (* Phase 3: the pmap change itself. *)
-      ctx.Pmap.shoot_phase.(me) <- "updating:" ^ pmap.Pmap.pname;
+      ctx.Pmap.phase.(me) <- Pmap.Updating;
       let update_started = Sim.Cpu.now cpu in
       update ();
-      fl ctx (fun f -> Flight.update_done f ~cpu:me ~at:(Sim.Cpu.now cpu));
+      if Probe.attached ctx then Probe.emit ctx ~cpu:me Probe.Updated;
       if inconsistent then
         Sim.Cpu.prof_observe cpu ~name:"shoot/update_us"
           (Sim.Cpu.now cpu -. update_started);
@@ -783,7 +718,7 @@ let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
          resurrect the dead mapping.  Still under the pmap lock, which
          serializes concurrent bumps of the same space. *)
       if elide then begin
-        ctx.Pmap.shoot_phase.(me) <- "gen-bump:" ^ pmap.Pmap.pname;
+        ctx.Pmap.phase.(me) <- Pmap.Gen_bump;
         elide_round ctx cpu pmap
       end;
       (* Recovery: responders the watchdog abandoned never acknowledged,
@@ -791,19 +726,19 @@ let with_update_ranges ?(elide_reuse = false) ?(origin = Flight.Round) ctx
          directly while the pmap lock still serializes against reloads
          through a half-changed table. *)
       if abandoned <> [] then begin
-        ctx.Pmap.shoot_phase.(me) <- "force-invalidate:" ^ pmap.Pmap.pname;
+        ctx.Pmap.phase.(me) <- Pmap.Force_invalidate;
         force_remote_invalidate ctx cpu pmap ~ranges abandoned
       end;
       Sim.Spinlock.release pmap.Pmap.lock cpu ~saved_ipl:saved;
-      if inconsistent && not elide then
-        Shoot_trace.record ctx ~code:Shoot_trace.c_update_done ~cpu:me ();
-      ctx.Pmap.shoot_phase.(me) <- "done";
+      if inconsistent && (not elide) && Probe.attached ctx then
+        Probe.emit ctx ~cpu:me Probe.Unlocked;
+      ctx.Pmap.phase.(me) <- Pmap.Done;
       ctx.Pmap.active.(me) <- was_active;
       (* The record closes here, *before* interrupts are re-enabled:
          restore_ipl services any device interrupt that arrived while the
          initiator ran masked, and that deferred handler time belongs to
          the device, not to this round's Finish residual. *)
-      fl ctx (fun f -> Flight.round_end f ~cpu:me ~at:(Sim.Cpu.now cpu));
+      if Probe.attached ctx then Probe.emit ctx ~cpu:me Probe.Round_end;
       Sim.Cpu.restore_ipl cpu s;
       check_oracle "shootdown-complete"
 

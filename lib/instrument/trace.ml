@@ -4,8 +4,9 @@
    record shape), Trace records named events with typed attributes — the
    machine-readable stream the paper's Figure 1 anatomy views, the
    `tlbshoot trace` subcommand and offline analysis consume.  Producers
-   (Sim.Engine, Core.Shoot_trace) hold an optional [t] and emit only when
-   one is attached, so the zero-tracer cost is a single branch.
+   (Sim.Engine, and Core.Probe for the shootdown protocol points) hold an
+   optional [t] and emit only when one is attached, so the zero-tracer
+   cost is a single branch.
 
    Events are instants unless [dur] is given, making them spans. *)
 
@@ -29,6 +30,7 @@ type t = {
   mutable dropped : int; (* overwritten by the ring *)
   mutable enabled : bool;
   mutable sink : (span -> unit) option; (* streaming consumer *)
+  marks : (int, float) Hashtbl.t; (* phase start times by slot *)
 }
 
 let create ?cap () =
@@ -45,6 +47,7 @@ let create ?cap () =
     dropped = 0;
     enabled = true;
     sink = None;
+    marks = Hashtbl.create 8;
   }
 
 let enable t = t.enabled <- true
@@ -96,7 +99,11 @@ let spans t =
         let start = (t.head - t.stored + (2 * c)) mod c in
         List.init t.stored (fun i -> t.ring.((start + i) mod c))
 
+let mark t ~slot ~at = Hashtbl.replace t.marks slot at
+let since t ~slot = Option.value (Hashtbl.find_opt t.marks slot) ~default:nan
+
 let reset t =
+  Hashtbl.reset t.marks;
   t.spans <- [];
   t.ring <- [||];
   t.head <- 0;

@@ -1,9 +1,10 @@
 (** Structured span-event tracing for the shootdown hot path.
 
-    Named events with typed attributes, emitted by hooks in [Sim.Engine]
-    and [Core.Shoot_trace] when a tracer is attached (the zero-tracer
-    cost is one branch).  The span stream is what the [tlbshoot trace]
-    subcommand dumps; see docs/OBSERVABILITY.md for the schema. *)
+    Named events with typed attributes, emitted by [Sim.Engine] and by
+    [Core.Probe] at the shootdown protocol points when a tracer is
+    attached (the zero-tracer cost is one branch).  The span stream is
+    what the [tlbshoot trace] subcommand dumps; see docs/OBSERVABILITY.md
+    for the schema. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 
@@ -40,6 +41,13 @@ val emit :
   ?attrs:(string * value) list ->
   unit ->
   unit
+
+val mark : t -> slot:int -> at:float -> unit
+(** Remember [at] as the start of a phase under the producer's [slot], so
+    the span closing it can carry its duration; works while disabled. *)
+
+val since : t -> slot:int -> float
+(** The time last {!mark}ed under [slot]; [nan] if none. *)
 
 val length : t -> int
 (** Spans currently retained. *)

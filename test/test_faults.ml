@@ -124,6 +124,97 @@ let test_blackout_escalates () =
     "watchdog escalated" true
     (ctx.Core.Pmap.watchdog_escalations > 0)
 
+(* The escalation report names who is missing and what it was last seen
+   doing.  Under the blackout every missing responder is a tester child
+   spinning in [Pmap.activate]; the labels are pinned to exact strings,
+   which tools reading the span stream match on. *)
+let test_escalation_diagnostics () =
+  let plan = { F.none with F.ipi_drop_rate = 1.0 } in
+  let params = { quiet with Sim.Params.faults = plan; seed = 7L } in
+  let machine = Vm.Machine.create ~params () in
+  let tr = Instrument.Trace.create () in
+  machine.Vm.Machine.ctx.Core.Pmap.trace <- Some tr;
+  ignore (Workloads.Tlb_tester.run machine ~children:5 ());
+  let escalations =
+    List.filter
+      (fun (s : Instrument.Trace.span) -> s.name = "watchdog.escalation")
+      (Instrument.Trace.spans tr)
+  in
+  Alcotest.(check int)
+    "one report per escalation"
+    machine.Vm.Machine.ctx.Core.Pmap.watchdog_escalations
+    (List.length escalations);
+  Alcotest.(check (list int))
+    "missing responders" [ 1; 2; 3; 4; 5 ]
+    (List.map
+       (fun (s : Instrument.Trace.span) ->
+         match List.assoc "missing" s.attrs with
+         | Instrument.Trace.Int c -> c
+         | _ -> Alcotest.fail "missing is not an int")
+       escalations);
+  List.iter
+    (fun (s : Instrument.Trace.span) ->
+      Alcotest.(check int) "reported by the initiator" 0 s.cpu;
+      Alcotest.(check (list string))
+        "attributes"
+        [ "missing"; "pmap"; "retries"; "missing_phase"; "missing_note" ]
+        (List.map fst s.attrs);
+      let attr k = List.assoc k s.attrs in
+      Alcotest.(check bool)
+        "pmap" true
+        (attr "pmap" = Instrument.Trace.Str "tester");
+      Alcotest.(check bool)
+        "retries" true
+        (attr "retries" = Instrument.Trace.Int 2);
+      Alcotest.(check bool)
+        "missing_phase" true
+        (attr "missing_phase" = Instrument.Trace.Str "activated");
+      Alcotest.(check bool)
+        "missing_note" true
+        (attr "missing_note" = Instrument.Trace.Str "activate-spin"))
+    escalations
+
+(* Every typed phase and the barrier's await-ack note render to the
+   label strings the escalation report and the checker fingerprint use. *)
+let test_diagnostic_labels () =
+  let machine = Vm.Machine.create ~params:quiet () in
+  let ctx = machine.Vm.Machine.ctx in
+  let pmap = Core.Pmap.create_pmap ctx ~name:"user9" in
+  ctx.Core.Pmap.phase_pmap.(1) <- pmap;
+  List.iter
+    (fun (phase, label) ->
+      ctx.Core.Pmap.phase.(1) <- phase;
+      let b = Buffer.create 32 in
+      Core.Pmap.add_phase_label b ctx 1;
+      Alcotest.(check string) label label (Buffer.contents b))
+    Core.Pmap.
+      [
+        (Booted, "-");
+        (Activate_spin, "activate-spin");
+        (Activated, "activated");
+        (Responding, "responding");
+        (Responded, "responded");
+        (Acquiring, "acquiring:user9");
+        (Locked, "locked:user9");
+        (Shooting, "shooting:user9");
+        (Updating, "updating:user9");
+        (Gen_bump, "gen-bump:user9");
+        (Force_invalidate, "force-invalidate:user9");
+        (Done, "done");
+      ];
+  let cpu = machine.Vm.Machine.cpus.(1) in
+  Alcotest.(check string) "boot note" "boot" (Core.Pmap.note_label ctx cpu);
+  cpu.Sim.Cpu.note <- Core.Pmap.await_ack_note;
+  ctx.Core.Pmap.awaiting.(1) <- 3;
+  Alcotest.(check string)
+    "await-ack note" "await-ack:3"
+    (Core.Pmap.note_label ctx cpu);
+  (* an equal string that is not the marker is just a note *)
+  cpu.Sim.Cpu.note <- String.concat "-" [ "await"; "ack" ];
+  Alcotest.(check string)
+    "plain note" "await-ack"
+    (Core.Pmap.note_label ctx cpu)
+
 (* Dropped IPIs that a retry does deliver are recoveries, not escalations. *)
 let test_drop_recovers () =
   let plan = { F.none with F.ipi_drop_rate = 0.5 } in
@@ -255,6 +346,9 @@ let () =
             test_ci_plans_green_batched;
           Alcotest.test_case "blackout escalates and recovers" `Quick
             test_blackout_escalates;
+          Alcotest.test_case "escalation diagnostics" `Quick
+            test_escalation_diagnostics;
+          Alcotest.test_case "diagnostic labels" `Quick test_diagnostic_labels;
           Alcotest.test_case "dropped IPIs recovered by retry" `Quick
             test_drop_recovers;
           Alcotest.test_case "oracle flags No_consistency" `Quick

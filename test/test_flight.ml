@@ -229,6 +229,34 @@ let test_real_run_attribution () =
       Alcotest.(check int) "timeline rounds" (Flight.rounds flight)
         (Timeline.counter_total tl ~series:"rounds")
 
+(* Both sinks on one run: each protocol point fans out to the Flight
+   recorder and the span stream at once, and neither perturbs the run nor
+   the other sink. *)
+let test_two_sinks () =
+  let params = Tail.default_params in
+  let fresh () =
+    Vm.Machine.create ~params:{ params with Sim.Params.seed = 7L } ()
+  in
+  let run ?flight ?trace () =
+    let machine = fresh () in
+    Option.iter (Vm.Machine.attach_flight machine) flight;
+    machine.Vm.Machine.ctx.Core.Pmap.trace <- trace;
+    Workloads.Tlb_tester.run ~churn_rounds:4 machine ~children:3 ()
+  in
+  let bare = run () in
+  let trace_only = Trace.create () in
+  ignore (run ~trace:trace_only ());
+  let flight = Flight.create ~ncpus:params.Sim.Params.ncpus () in
+  let tr = Trace.create () in
+  let both = run ~flight ~trace:tr () in
+  Alcotest.(check bool) "same result as bare" true (bare = both);
+  Alcotest.(check bool) "rounds recorded" true (Flight.rounds flight >= 5);
+  Alcotest.(check int) "all attributed" 0 (Flight.unattributed flight);
+  Alcotest.(check bool) "spans recorded" true (Trace.length tr > 0);
+  Alcotest.(check bool)
+    "same spans as a trace-only run" true
+    (Trace.spans trace_only = Trace.spans tr)
+
 (* ------------------------------------------------------------------ *)
 (* Timeline. *)
 
@@ -387,6 +415,7 @@ let () =
           Alcotest.test_case "flight json schema" `Quick test_flight_json;
           Alcotest.test_case "real run fully attributed" `Quick
             test_real_run_attribution;
+          Alcotest.test_case "trace and flight together" `Quick test_two_sinks;
           Alcotest.test_case "jobs-count deterministic" `Slow
             test_tail_jobs_deterministic;
         ] );

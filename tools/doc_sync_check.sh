@@ -1,6 +1,6 @@
 #!/bin/sh
 # Docs-sync check (CI fast tier): fail when the documentation index
-# drifts from the code.  Three invariants:
+# drifts from the code.  Four invariants:
 #
 #   1. every file under docs/ is linked from the README's Map table;
 #   2. every tlbshoot subcommand defined in bin/tlbshoot_cli.ml is
