@@ -7,6 +7,15 @@
    an interrupt service routine borrows the interrupted context on real
    hardware. *)
 
+(* A CPU's float state.  A record of floats only stores its fields
+   unboxed, so the hot paths update them without allocating. *)
+type acct = {
+  mutable busy_time : float;
+  mutable spin_time : float;
+  mutable store_backlog : float; (* fractional store-traffic accumulator *)
+  mutable sleep_dt : float; (* argument slot of the interruptible sleep *)
+}
+
 type t = {
   id : int;
   eng : Engine.t;
@@ -17,19 +26,15 @@ type t = {
   mutable ipl : Interrupt.level;
   mutable sleeper : Engine.wakener; (* current interruptible sleep;
                                        [Engine.no_wakener] when awake *)
-  mutable sleep_dt : float; (* argument slot for [sleep_register] *)
-  mutable sleep_register : Engine.wakener -> unit;
-      (* suspend registration for [interruptible_sleep], allocated once *)
+  mutable sleep : Engine.suspension;
+      (* [interruptible_sleep]'s suspend request, built once *)
   mutable idle : bool;
   mutable in_interrupt : bool;
   mutable shootdown_handler : t -> unit;
   mutable device_handler : t -> unit;
   fault : Fault.t option; (* per-CPU fault injector; None = healthy *)
-  (* accounting *)
-  mutable busy_time : float;
+  acct : acct; (* accounting, and the sleep duration *)
   mutable interrupts_taken : int;
-  mutable spin_time : float;
-  mutable store_backlog : float; (* fractional store-traffic accumulator *)
   mutable note : string; (* diagnostic: what this CPU is currently doing *)
   mutable profile : Instrument.Profile.t option;
       (* contention profiler; None (and cost-free) unless attached *)
@@ -72,7 +77,7 @@ let jittered t cost =
    explicitly-disabled regions. *)
 let raw_delay t cost =
   let cost = jittered t cost in
-  t.busy_time <- t.busy_time +. cost;
+  t.acct.busy_time <- t.acct.busy_time +. cost;
   (match t.profile with
   | Some prof -> Instrument.Profile.account prof ~cpu:t.id cost
   | None -> ());
@@ -81,11 +86,11 @@ let raw_delay t cost =
 (* Advance time interruptibly: if an interrupt is posted mid-sleep, the
    sleep is cut short so the handler's latency is the dispatch cost, not
    the remaining sleep.  This is the simulator's hottest path (every idle
-   CPU polls through it), so the registration closure is allocated once
-   per CPU and the duration travels through [sleep_dt]. *)
-let interruptible_sleep t dt =
-  t.sleep_dt <- dt;
-  Engine.suspend t.sleep_register;
+   CPU polls through it), so the suspend request is built once per CPU
+   and the duration travels through [acct.sleep_dt]. *)
+let[@inline] interruptible_sleep t dt =
+  t.acct.sleep_dt <- dt;
+  Engine.suspend_with t.sleep;
   t.sleeper <- Engine.no_wakener
 
 (* Interrupt nesting follows priority: inside a handler the IPL equals the
@@ -180,8 +185,7 @@ let create eng bus (params : Params.t) ~id =
     ctl = Interrupt.make_controller ();
     ipl = Interrupt.ipl_none;
     sleeper = Engine.no_wakener;
-    sleep_dt = 0.0;
-    sleep_register = ignore;
+    sleep = Engine.suspension ignore;
     idle = true;
     in_interrupt = false;
     shootdown_handler = (fun _ -> ());
@@ -189,19 +193,18 @@ let create eng bus (params : Params.t) ~id =
     fault =
       Fault.injector params.faults
         ~seed:(Int64.logxor params.seed (Int64.of_int (0xFA017 * (id + 1))));
-    busy_time = 0.0;
+    acct =
+      { busy_time = 0.0; spin_time = 0.0; store_backlog = 0.0; sleep_dt = 0.0 };
     interrupts_taken = 0;
-    spin_time = 0.0;
-    store_backlog = 0.0;
     note = "boot";
     profile = None;
     last_shoot_posted_at = nan;
   }
   in
-  t.sleep_register <-
-    (fun w ->
-      t.sleeper <- w;
-      Engine.wake_after t.eng t.sleep_dt w);
+  t.sleep <-
+    Engine.suspension (fun w ->
+        t.sleeper <- w;
+        Engine.wake_after t.eng t.acct.sleep_dt w);
   t
 
 (* Post an interrupt to this CPU (from any coroutine).  If the CPU is in an
@@ -232,37 +235,37 @@ let pending_interrupt t kind = Interrupt.has_pending t.ctl kind
    interrupts at slice boundaries. *)
 let step t cost =
   check_interrupts t;
-  let cost = jittered t cost in
   (* Track remaining *work*, not a deadline: time spent in interrupt
      handlers does not count against the interrupted computation.  The
      10^-6 us threshold (and the no-progress guard below) keep float
-     round-off from leaving a sub-ULP remainder that could never elapse. *)
-  let rec go remaining =
-    if remaining > 1e-6 then begin
-      let t0 = now t in
-      interruptible_sleep t remaining;
-      let elapsed = now t -. t0 in
-      if elapsed <= 0.0 then () (* below clock resolution: done *)
-      else begin
-      t.busy_time <- t.busy_time +. elapsed;
+     round-off from leaving a sub-ULP remainder that could never elapse.
+     A loop over local float refs, which stay unboxed. *)
+  let remaining = ref (jittered t cost) in
+  let progressing = ref true in
+  let a = t.acct in
+  while !progressing && !remaining > 1e-6 do
+    let t0 = now t in
+    interruptible_sleep t !remaining;
+    let elapsed = now t -. t0 in
+    if elapsed <= 0.0 then progressing := false (* below clock resolution *)
+    else begin
+      a.busy_time <- a.busy_time +. elapsed;
       (match t.profile with
       | Some prof -> Instrument.Profile.account prof ~cpu:t.id elapsed
       | None -> ());
       (* Write-through stores from this computation occupy the shared bus
          (without stalling us): the source of multi-CPU congestion. *)
-      t.store_backlog <-
-        t.store_backlog +. (elapsed *. t.params.store_traffic_rate);
-      let stores = int_of_float t.store_backlog in
+      a.store_backlog <-
+        a.store_backlog +. (elapsed *. t.params.store_traffic_rate);
+      let stores = int_of_float a.store_backlog in
       if stores > 0 then begin
-        t.store_backlog <- t.store_backlog -. float_of_int stores;
+        a.store_backlog <- a.store_backlog -. float_of_int stores;
         Bus.post_async t.bus ~who:t.id ~n:stores ()
       end;
       check_interrupts t;
-      go (remaining -. elapsed)
-      end
+      remaining := !remaining -. elapsed
     end
-  in
-  go cost
+  done
 
 (* One spin-loop iteration on a shared flag.  Most polls hit the local
    write-through cache; a fraction miss and go to the bus. *)
@@ -272,7 +275,7 @@ let spin_poll t =
   raw_delay t t.params.spin_poll;
   if Prng.float t.prng < t.params.spin_miss_rate then
     Bus.access t.bus ~who:t.id ();
-  t.spin_time <- t.spin_time +. (now t -. t0)
+  t.acct.spin_time <- t.acct.spin_time +. (now t -. t0)
 
 (* Spin with interrupts implicitly disabled (no [check_interrupts]); used
    by the shootdown algorithm whose spins occur at raised IPL. *)
@@ -281,7 +284,7 @@ let spin_poll_masked t =
   raw_delay t t.params.spin_poll;
   if Prng.float t.prng < t.params.spin_miss_rate then
     Bus.access t.bus ~who:t.id ();
-  t.spin_time <- t.spin_time +. (now t -. t0)
+  t.acct.spin_time <- t.acct.spin_time +. (now t -. t0)
 
 let set_ipl t level =
   let old = t.ipl in

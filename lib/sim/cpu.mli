@@ -10,6 +10,16 @@
     [shootdown_handler], and the experiment harness reads the accounting
     fields. *)
 
+type acct = {
+  mutable busy_time : float;
+  mutable spin_time : float;
+  mutable store_backlog : float;
+      (** fractional accumulator for background store traffic *)
+  mutable sleep_dt : float;  (** argument slot of the interruptible sleep *)
+}
+(** A CPU's float state, in a float-only record so that its fields are
+    stored unboxed. *)
+
 type t = {
   id : int;
   eng : Engine.t;
@@ -20,19 +30,16 @@ type t = {
   mutable ipl : Interrupt.level;
   mutable sleeper : Engine.wakener;
       (** current interruptible sleep; [Engine.no_wakener] when awake *)
-  mutable sleep_dt : float;
-  mutable sleep_register : Engine.wakener -> unit;
+  mutable sleep : Engine.suspension;
+      (** the interruptible sleep's suspend request, built once *)
   mutable idle : bool; (** maintained by the scheduler's idle loop *)
   mutable in_interrupt : bool;
   mutable shootdown_handler : t -> unit;
   mutable device_handler : t -> unit;
   fault : Fault.t option;
       (** per-CPU fault injector ([None] when [Params.faults] is zero) *)
-  mutable busy_time : float;
+  acct : acct;  (** busy, spin and sleep times *)
   mutable interrupts_taken : int;
-  mutable spin_time : float;
-  mutable store_backlog : float;
-      (** fractional accumulator for background store traffic *)
   mutable note : string;  (** diagnostic: current activity label *)
   mutable profile : Instrument.Profile.t option;
       (** contention profiler; [None] (and cost-free) unless attached *)

@@ -3,9 +3,23 @@
    Simulated activities (CPU idle loops, threads, daemons) are coroutines
    implemented with OCaml effects.  A coroutine performs [Delay dt] to let
    simulated time pass, or [Suspend register] to park itself until some
-   other coroutine wakes it.  The engine owns a single event heap; running
-   the simulation is popping events in (time, seq) order until the heap
-   drains or a time limit is reached.
+   other coroutine wakes it.  Running the simulation is popping events in
+   (time, seq) order until nothing is pending or a time limit is reached.
+
+   The pending events live in two queues.  The heap holds every event for
+   a later instant.  The same-instant lane, a FIFO ring, holds every event
+   whose (clamped) time equals [now] when it is pushed: about half of all
+   events, mostly the wake that resumes a CPU whose sleep timer fired.  A
+   pop takes a heap entry due at [now] first, then the lane's head, then
+   the heap's next (later) entry.  That is exactly (time, seq) order.  The
+   lane's entries all sit at [now], in push order, so in seq order.  A
+   heap entry due at [now] was pushed before the clock reached [now] (once
+   it had, the push would have gone to the lane), so its seq is smaller
+   than every lane entry's.  The clock moves only by popping the heap's
+   next entry, which happens only once the lane is empty, so the lane
+   never holds an instant earlier than [now].  Same-instant events thus
+   skip the heap's sift-up and sift-down, and the event stream is the
+   one a heap alone would give.
 
    Per-label event accounting goes through Instrument.Metrics counters.
    The counter handle is resolved when the event is *scheduled* — the
@@ -23,6 +37,84 @@
    heap, so refilling them with young pointers pays a write barrier and
    remembered-set entry per store, which costs more than letting the
    minor collector reclaim dead three-word cells for free. *)
+
+(* The same-instant lane: a growable FIFO ring of (seq, shard, payload)
+   entries, all due at the engine's current instant. *)
+module Lane = struct
+  type 'a t = {
+    mutable evs : 'a array;
+    mutable seqs : int array;
+    mutable shards : int array;
+    mutable head : int; (* index of the oldest entry *)
+    mutable len : int;
+    dummy : 'a;
+  }
+
+  let initial_capacity = 64 (* a power of two: indices wrap with a mask *)
+
+  let create dummy =
+    {
+      evs = Array.make initial_capacity dummy;
+      seqs = Array.make initial_capacity 0;
+      shards = Array.make initial_capacity 0;
+      head = 0;
+      len = 0;
+      dummy;
+    }
+
+  let[@inline] slot q j = (q.head + j) land (Array.length q.evs - 1)
+
+  (* Double the ring, unrolling it so the oldest entry lands at index 0. *)
+  let grow q =
+    let n = Array.length q.evs in
+    let evs = Array.make (2 * n) q.dummy in
+    let seqs = Array.make (2 * n) 0 in
+    let shards = Array.make (2 * n) 0 in
+    for j = 0 to q.len - 1 do
+      let i = slot q j in
+      evs.(j) <- q.evs.(i);
+      seqs.(j) <- q.seqs.(i);
+      shards.(j) <- q.shards.(i)
+    done;
+    q.evs <- evs;
+    q.seqs <- seqs;
+    q.shards <- shards;
+    q.head <- 0
+
+  let push q ~shard seq ev =
+    if q.len = Array.length q.evs then grow q;
+    let i = slot q q.len in
+    q.evs.(i) <- ev;
+    q.seqs.(i) <- seq;
+    q.shards.(i) <- shard;
+    q.len <- q.len + 1
+
+  let[@inline] head_shard q = q.shards.(q.head)
+
+  (* Remove the oldest entry and return its payload; the ring must be
+     non-empty. *)
+  let pop q =
+    let i = q.head in
+    let ev = q.evs.(i) in
+    q.evs.(i) <- q.dummy (* release the payload reference *);
+    q.head <- slot q 1;
+    q.len <- q.len - 1;
+    ev
+
+  (* Oldest first, i.e. in seq order. *)
+  let iter f q =
+    for j = 0 to q.len - 1 do
+      let i = slot q j in
+      f q.seqs.(i) q.shards.(i) q.evs.(i)
+    done
+
+  let clear q =
+    for j = 0 to q.len - 1 do
+      q.evs.(slot q j) <- q.dummy
+    done;
+    q.head <- 0;
+    q.len <- 0
+end
 
 (* Diagnostic payload for a blown event budget: when it happened, how much
    work was done, and what was still scheduled — the pending-kind summary
@@ -83,7 +175,8 @@ type t = {
   mutable events : int; (* total processed, for runaway detection *)
   mutable events_flushed : int; (* portion already added to the global *)
   mutable max_events : int;
-  heap : ev Heap.t;
+  heap : ev Heap.t; (* events for later instants *)
+  lane : ev Lane.t; (* events for the current instant, in seq order *)
   mutable cur_shard : int;
       (* shard of the event being executed; events it schedules inherit
          it, so a coroutine's activity stays on its home shard *)
@@ -118,13 +211,15 @@ let flush_events t =
 let create ?(seed = 0x5EEDL) ?(max_events = 200_000_000) ?(shards = 1) () =
   let metrics = Instrument.Metrics.create () in
   let c_at = Instrument.Metrics.counter metrics "at" in
+  let dummy = Ev_thunk (c_at, ignore) in
   {
     now = 0.0;
     seq = 0;
     events = 0;
     events_flushed = 0;
     max_events;
-    heap = Heap.create ~shards ~dummy:(Ev_thunk (c_at, ignore)) ();
+    heap = Heap.create ~shards ~dummy ();
+    lane = Lane.create dummy;
     cur_shard = 0;
     prng = Prng.create seed;
     live = 0;
@@ -142,15 +237,16 @@ let now t = t.now
 let prng t = t.prng
 let live t = t.live
 let events_processed t = t.events
-let pending t = Heap.length t.heap
+let pending t = Heap.length t.heap + t.lane.len
 let shards t = Heap.shards t.heap
 
 (* All schedule paths funnel through here so (time clamp, seq assignment,
-   heap order) are identical whatever the event shape. *)
+   queue order) are identical whatever the event shape.  A time at or
+   before [now] is clamped to [now], which is the lane. *)
 let[@inline] push_ev t ~shard time ev =
-  let time = if time < t.now then t.now else time in
   t.seq <- t.seq + 1;
-  Heap.push t.heap ~shard time t.seq ev
+  if time <= t.now then Lane.push t.lane ~shard t.seq ev
+  else Heap.push t.heap ~shard time t.seq ev
 
 let schedule_on t ~shard counter time thunk =
   push_ev t ~shard time (Ev_thunk (counter, thunk))
@@ -185,6 +281,11 @@ let delay dt =
 
 let suspend register = Effect.perform (Suspend register)
 
+type suspension = unit Effect.t
+
+let suspension register = Suspend register
+let suspend_with s = Effect.perform s
+
 let wake t w =
   if not w.fired then begin
     w.fired <- true;
@@ -202,11 +303,32 @@ let wake t w =
 let wake_after t dt w =
   push_ev t ~shard:t.cur_shard (t.now +. dt) (Ev_timer (t.c_after, w))
 
+(* Argument slot of a fiber's [Delay] handler: a float-only record, so the
+   duration is stored unboxed. *)
+type delay_slot = { mutable dt : float }
+
 let spawn t ?(name = "coroutine") ?shard fn =
   let shard = match shard with Some s -> s | None -> t.cur_shard in
   t.live <- t.live + 1;
   let started = t.now in
   let open Effect.Deep in
+  (* One handler per effect per fiber: [effc] leaves the effect's argument
+     in a slot and returns the fiber's shared handler, so a perform
+     allocates no closure.  The runtime applies the handler as soon as
+     [effc] returns, so a slot is never read after a later overwrite. *)
+  let delay_arg = { dt = 0.0 } in
+  let suspend_arg = ref ignore in
+  let on_delay =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        push_ev t ~shard:t.cur_shard (t.now +. delay_arg.dt)
+          (Ev_resume (t.c_delay, k)))
+  in
+  let on_suspend =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        !suspend_arg { fired = false; cont = Some k; wshard = t.cur_shard })
+  in
   let fiber () =
     match_with fn ()
       {
@@ -222,20 +344,15 @@ let spawn t ?(name = "coroutine") ?shard fn =
             | None -> ());
         exnc = (fun e -> raise e);
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) :
+               ((a, unit) continuation -> unit) option ->
             match eff with
             | Delay dt ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    push_ev t ~shard:t.cur_shard (t.now +. dt)
-                      (Ev_resume (t.c_delay, k)))
+                delay_arg.dt <- dt;
+                on_delay
             | Suspend register ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    let w =
-                      { fired = false; cont = Some k; wshard = t.cur_shard }
-                    in
-                    register w)
+                suspend_arg := register;
+                on_suspend
             | _ -> None);
       }
   in
@@ -247,35 +364,46 @@ let[@inline] counter_of_ev = function
 (* Pending events as (delay-from-now, schedule label) pairs, sorted.
    Part of the model checker's state fingerprint: together with the
    machine snapshot, the scheduled future determines the rest of a run
-   up to the remaining choice points. *)
+   up to the remaining choice points.  Lane entries are due now. *)
 let pending_summary t =
   let acc = ref [] in
-  Heap.iter_entries
-    (fun time _seq ev ->
-      let label = Instrument.Metrics.counter_name (counter_of_ev ev) in
-      acc := (time -. t.now, label) :: !acc)
-    t.heap;
+  let add delta ev =
+    let label = Instrument.Metrics.counter_name (counter_of_ev ev) in
+    acc := (delta, label) :: !acc
+  in
+  Heap.iter_entries (fun time _seq ev -> add (time -. t.now) ev) t.heap;
+  Lane.iter (fun _seq _shard ev -> add 0.0 ev) t.lane;
   List.sort compare !acc
 
 (* Controlled pop under an attached explorer: collect every event tied
-   at [time], offer the explorer a choice among the *live* ones, push
-   the losers back under their original (time, seq) keys.  An expired
-   timer whose wakener already fired is a pure no-op — branching on its
-   position would multiply schedules without changing any behaviour —
-   so such events are elided from the choice (the harness's cheapest
-   partial-order reduction) and only run, in FIFO order, when nothing
-   live shares the instant. *)
-let pop_controlled t ex time =
+   at the next instant, offer the explorer a choice among the *live*
+   ones, and return the losers to the lane.  The ties are the heap's
+   entries at that instant, then the lane's (when the lane is non-empty
+   the instant is [now]), which is (time, seq) order: FIFO is
+   alternative 0.  The losers stay due at that instant, which is [now]
+   once the clock is set, so they go back to the lane in seq order.  The
+   clock moves only after the choice: the fingerprints the explorer takes
+   inside [choose] measure pending delays from the instant before.
+
+   An expired timer whose wakener already fired is a pure no-op —
+   branching on its position would multiply schedules without changing
+   any behaviour — so such events are elided from the choice (the
+   harness's cheapest partial-order reduction) and only run, in FIFO
+   order, when nothing live shares the instant. *)
+let pop_controlled t ex k =
+  let h = t.heap in
+  let time = if t.lane.len > 0 then t.now else Heap.root_time h k in
   let ties = ref [] in
-  let more = ref true in
-  while !more do
-    match Heap.peek_time t.heap with
-    | Some tm when tm = time ->
-        let _, seq, ev = Heap.pop t.heap in
-        ties := (Heap.last_shard t.heap, seq, ev) :: !ties
-    | Some _ | None -> more := false
+  let k = ref k in
+  while !k >= 0 && Heap.root_time h !k = time do
+    let shard = !k in
+    let seq = Heap.root_seq h shard in
+    ties := (shard, seq, Heap.pop_shard h shard) :: !ties;
+    k := Heap.min_shard h
   done;
-  let ties = List.rev !ties (* (time, seq) order: FIFO is alternative 0 *) in
+  Lane.iter (fun seq shard ev -> ties := (shard, seq, ev) :: !ties) t.lane;
+  Lane.clear t.lane;
+  let ties = List.rev !ties in
   let live =
     List.filter
       (fun (_, _, ev) ->
@@ -293,55 +421,68 @@ let pop_controlled t ex time =
   in
   List.iter
     (fun (shard, seq, ev) ->
-      if seq <> cseq then Heap.push t.heap ~shard time seq ev)
+      if seq <> cseq then Lane.push t.lane ~shard seq ev)
     ties;
   t.cur_shard <- cshard;
+  t.now <- time;
   cev
 
-let step t =
-  if Heap.is_empty t.heap then false
-  else begin
-    let time = Heap.min_time t.heap in
-    let ev =
-      match t.explore with
-      | None ->
-          let ev = Heap.pop_payload t.heap in
-          t.cur_shard <- Heap.last_shard t.heap;
+(* Summarise what is still scheduled, by label, most frequent first: the
+   stuck site usually dominates the histogram.  [ev], just popped, has not
+   executed, so it counts as pending too. *)
+let runaway t ev =
+  let tally = Hashtbl.create 16 in
+  let count ev =
+    let name = Instrument.Metrics.counter_name (counter_of_ev ev) in
+    let n = try Hashtbl.find tally name with Not_found -> 0 in
+    Hashtbl.replace tally name (n + 1)
+  in
+  count ev;
+  Heap.iter_payloads count t.heap;
+  Lane.iter (fun _seq _shard ev -> count ev) t.lane;
+  let pending =
+    Hashtbl.fold (fun name n acc -> (name, n) :: acc) tally []
+    |> List.sort (fun (na, a) (nb, b) ->
+           if a <> b then compare b a else compare na nb)
+  in
+  Runaway
+    { runaway_at = t.now; runaway_events = t.events; runaway_pending = pending }
+
+(* Pop and run the next event.  [k] is the heap's minimum shard, from the
+   caller's one root scan ([-1] if the heap is empty); the lane or the
+   heap must be non-empty.  Heap entries are never earlier than [now], so
+   one due at [now] is the only kind that precedes the lane's head. *)
+let dispatch t k =
+  let h = t.heap in
+  let ev =
+    match t.explore with
+    | None ->
+        if k >= 0 && (t.lane.len = 0 || Heap.root_time h k <= t.now) then begin
+          let time = Heap.root_time h k in
+          t.cur_shard <- k;
+          let ev = Heap.pop_shard h k in
+          t.now <- time;
           ev
-      | Some ex -> pop_controlled t ex time
-    in
-    Instrument.Metrics.inc (counter_of_ev ev);
-    t.now <- time;
-    t.events <- t.events + 1;
-    if t.events > t.max_events then begin
-      (* Summarise what is still scheduled, by label, most frequent first:
-         the stuck site usually dominates the histogram.  The event just
-         popped has not executed, so it counts as pending too. *)
-      let tally = Hashtbl.create 16 in
-      let count ev =
-        let name = Instrument.Metrics.counter_name (counter_of_ev ev) in
-        let n = try Hashtbl.find tally name with Not_found -> 0 in
-        Hashtbl.replace tally name (n + 1)
-      in
-      count ev;
-      Heap.iter_payloads count t.heap;
-      let pending =
-        Hashtbl.fold (fun name n acc -> (name, n) :: acc) tally []
-        |> List.sort (fun (na, a) (nb, b) ->
-               if a <> b then compare b a else compare na nb)
-      in
-      raise
-        (Runaway
-           {
-             runaway_at = t.now;
-             runaway_events = t.events;
-             runaway_pending = pending;
-           })
-    end;
-    (match ev with
-    | Ev_thunk (_, thunk) -> thunk ()
-    | Ev_timer (_, w) -> wake t w
-    | Ev_resume (_, k) -> Effect.Deep.continue k ());
+        end
+        else begin
+          t.cur_shard <- Lane.head_shard t.lane;
+          Lane.pop t.lane
+        end
+    | Some ex -> pop_controlled t ex k
+  in
+  Instrument.Metrics.inc (counter_of_ev ev);
+  t.events <- t.events + 1;
+  if t.events > t.max_events then raise (runaway t ev);
+  match ev with
+  | Ev_thunk (_, thunk) -> thunk ()
+  | Ev_timer (_, w) -> wake t w
+  | Ev_resume (_, k) -> Effect.Deep.continue k ()
+
+let step t =
+  let k = Heap.min_shard t.heap in
+  if k < 0 && t.lane.len = 0 then false
+  else begin
+    dispatch t k;
     true
   end
 
@@ -352,16 +493,18 @@ let run t =
   flush_events t
 
 let run_until t limit =
+  if limit < t.now then
+    invalid_arg "Engine.run_until: limit is before the current time";
   let continue_ = ref true in
   while !continue_ do
-    if Heap.is_empty t.heap then continue_ := false
-    else begin
-      let time = Heap.min_time t.heap in
-      if time > limit then begin
-        t.now <- limit;
-        continue_ := false
-      end
-      else ignore (step t)
+    let k = Heap.min_shard t.heap in
+    (* lane entries are due now, so within the limit *)
+    if t.lane.len > 0 then dispatch t k
+    else if k < 0 then continue_ := false
+    else if Heap.root_time t.heap k > limit then begin
+      t.now <- limit;
+      continue_ := false
     end
+    else dispatch t k
   done;
   flush_events t

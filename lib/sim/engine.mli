@@ -38,7 +38,9 @@ val live : t -> int
 (** Number of spawned coroutines that have not yet returned. *)
 
 val events_processed : t -> int
+
 val pending : t -> int
+(** Events scheduled and not yet processed. *)
 
 val shards : t -> int
 (** Number of event-heap shards this engine was created with. *)
@@ -99,6 +101,18 @@ val suspend : (wakener -> unit) -> unit
 (** Park the calling coroutine.  [register] receives the wakener and must
     arrange for {!wake} to be called eventually. *)
 
+type suspension
+(** A pre-built {!suspend} request, for a site that always parks with the
+    same registration function. *)
+
+val suspension : (wakener -> unit) -> suspension
+(** [suspension register] builds the request once. *)
+
+val suspend_with : suspension -> unit
+(** [suspend_with (suspension register)] is [suspend register], without
+    allocating the request on every call — the interruptible-sleep hot
+    path parks this way. *)
+
 val wake : t -> wakener -> unit
 (** Resume a parked coroutine at the current instant (idempotent). *)
 
@@ -118,10 +132,13 @@ val total_events : unit -> int
     denominator for allocation-per-event telemetry. *)
 
 val step : t -> bool
-(** Process one event; [false] if the heap is empty. *)
+(** Process one event; [false] if none is pending.  Events pop in
+    [(time, seq)] order: by time, then in the order they were scheduled. *)
 
 val run : t -> unit
 (** Run until no events remain. *)
 
 val run_until : t -> float -> unit
-(** Run until the clock would pass the limit; leaves later events queued. *)
+(** Run every event due at or before the limit, then set the clock to the
+    limit if later events remain queued.  The clock never moves back.
+    @raise Invalid_argument if the limit is before {!now}. *)

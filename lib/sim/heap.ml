@@ -28,11 +28,7 @@ type 'a sub = {
   mutable size : int;
 }
 
-type 'a t = {
-  subs : 'a sub array;
-  dummy : 'a;
-  mutable last : int; (* shard the most recent pop came from *)
-}
+type 'a t = { subs : 'a sub array; dummy : 'a }
 
 let initial_capacity = 64
 
@@ -46,10 +42,9 @@ let make_sub dummy =
 
 let create ?(shards = 1) ~dummy () =
   if shards < 1 then invalid_arg "Heap.create: shards must be positive";
-  { subs = Array.init shards (fun _ -> make_sub dummy); dummy; last = 0 }
+  { subs = Array.init shards (fun _ -> make_sub dummy); dummy }
 
 let shards h = Array.length h.subs
-let last_shard h = h.last
 
 let length h = Array.fold_left (fun acc s -> acc + s.size) 0 h.subs
 
@@ -149,10 +144,22 @@ let remove_min h s =
     s.vals.(!i) <- mv
   end
 
+(* Root accessors for a caller that has already found the minimum shard
+   with [min_shard]: reading the next time and popping then costs one root
+   scan in all.  [root_time] is small enough to inline, so the time it
+   reads stays unboxed. *)
+let[@inline] root_time h k = h.subs.(k).times.(0)
+let[@inline] root_seq h k = h.subs.(k).seqs.(0)
+
+let pop_shard h k =
+  let s = h.subs.(k) in
+  let v = s.vals.(0) in
+  remove_min h s;
+  v
+
 let pop h =
   let k = min_shard h in
   if k < 0 then invalid_arg "Heap.pop: empty";
-  h.last <- k;
   let s = h.subs.(k) in
   let time = s.times.(0) and seq = s.seqs.(0) and v = s.vals.(0) in
   remove_min h s;
@@ -166,15 +173,7 @@ let min_time h =
 let pop_payload h =
   let k = min_shard h in
   if k < 0 then invalid_arg "Heap.pop_payload: empty";
-  h.last <- k;
-  let s = h.subs.(k) in
-  let v = s.vals.(0) in
-  remove_min h s;
-  v
-
-let peek_time h =
-  let k = min_shard h in
-  if k < 0 then None else Some h.subs.(k).times.(0)
+  pop_shard h k
 
 (* Heap order within each shard, not time order — fine for the diagnostic
    summaries this exists for (counting pending events by kind on a

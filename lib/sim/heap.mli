@@ -32,8 +32,7 @@ val pop : 'a t -> float * int * 'a
     @raise Invalid_argument if the heap is empty. *)
 
 val min_time : 'a t -> float
-(** Timestamp of the next event without removing it — the non-allocating
-    variant of {!peek_time}.
+(** Timestamp of the next event without removing it.
     @raise Invalid_argument if the heap is empty. *)
 
 val pop_payload : 'a t -> 'a
@@ -42,13 +41,23 @@ val pop_payload : 'a t -> 'a
     timestamp is needed).
     @raise Invalid_argument if the heap is empty. *)
 
-val last_shard : 'a t -> int
-(** Shard index the most recent {!pop} / {!pop_payload} came from; the
-    engine uses it to route events scheduled by the popped event's thunk
-    back to the same shard. *)
+val min_shard : 'a t -> int
+(** Shard whose root is the global [(time, seq)] minimum, or [-1] if the
+    heap is empty.  This is the root scan every pop pays once; with
+    {!root_time}, {!root_seq} and {!pop_shard} a caller can read the next
+    key and pop it without scanning again. *)
 
-val peek_time : 'a t -> float option
-(** Timestamp of the next event, if any. *)
+val root_time : 'a t -> int -> float
+(** [root_time h k] is the time at the root of shard [k] (as returned by
+    {!min_shard}).  Inlined, so the float is not boxed. *)
+
+val root_seq : 'a t -> int -> int
+(** Sequence number at the root of shard [k]. *)
+
+val pop_shard : 'a t -> int -> 'a
+(** [pop_shard h k] removes the root of shard [k], which must be
+    non-empty, and returns its payload.  Popping the shard {!min_shard}
+    names pops the global minimum. *)
 
 val iter_payloads : ('a -> unit) -> 'a t -> unit
 (** Apply [f] to every pending payload across {e all} shards, in

@@ -19,7 +19,12 @@
    The draw sequence is bit-for-bit the reference SplitMix64 sequence;
    test/test_sim.ml checks it against a boxed Int64 re-implementation. *)
 
-type t = { mutable hi : int; mutable lo : int } (* 64-bit state, 32-bit limbs *)
+type t = {
+  mutable hi : int; (* 64-bit state, 32-bit limbs *)
+  mutable lo : int;
+  mutable rh : int; (* the last draw's limbs, left here by [next] *)
+  mutable rl : int;
+}
 
 let mask32 = 0xFFFF_FFFF
 
@@ -37,6 +42,8 @@ let create seed =
   {
     hi = Int64.to_int (Int64.shift_right_logical seed 32) land mask32;
     lo = Int64.to_int (Int64.logand seed 0xFFFF_FFFFL);
+    rh = 0;
+    rl = 0;
   }
 
 (* High 32 bits of the full 64-bit product of two 32-bit values; the low
@@ -49,7 +56,8 @@ let[@inline] mul_hi32 a b =
   (x1 * y1) + (mid lsr 16) + (lo lsr 32)
 
 (* One SplitMix64 step: advance the state by golden, then run the
-   xorshift-multiply finalizer.  Leaves the drawn value in (rh, rl). *)
+   xorshift-multiply finalizer.  Leaves the drawn value in [t.rh] and
+   [t.rl] rather than returning a pair, which would allocate. *)
 let next t =
   (* state += golden *)
   let l = t.lo + golden_lo in
@@ -68,31 +76,30 @@ let next t =
   let zl = (xl * m2_lo) land mask32 in
   let zh = (mul_hi32 xl m2_lo + (xl * m2_hi) + (xh * m2_lo)) land mask32 in
   (* z ^= z >>> 31 *)
-  let rl = zl lxor (((zh lsl 1) lor (zl lsr 31)) land mask32) in
-  let rh = zh lxor (zh lsr 31) in
-  (rh, rl)
+  t.rl <- zl lxor (((zh lsl 1) lor (zl lsr 31)) land mask32);
+  t.rh <- zh lxor (zh lsr 31)
 
 let next_int64 t =
-  let rh, rl = next t in
-  Int64.logor (Int64.shift_left (Int64.of_int rh) 32) (Int64.of_int rl)
+  next t;
+  Int64.logor (Int64.shift_left (Int64.of_int t.rh) 32) (Int64.of_int t.rl)
 
 let split t = create (next_int64 t)
 
 (* Uniform float in [0, 1): the top 53 bits of the draw, scaled. *)
 let float t =
-  let rh, rl = next t in
-  float_of_int ((rh lsl 21) lor (rl lsr 11)) *. (1.0 /. 9007199254740992.0)
+  next t;
+  float_of_int ((t.rh lsl 21) lor (t.rl lsr 11)) *. (1.0 /. 9007199254740992.0)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Mask to 62 bits so the value fits in a non-negative OCaml int. *)
-  let rh, rl = next t in
-  let r = ((rh land 0x3FFF_FFFF) lsl 32) lor rl in
+  next t;
+  let r = ((t.rh land 0x3FFF_FFFF) lsl 32) lor t.rl in
   r mod bound
 
 let bool t =
-  let _, rl = next t in
-  rl land 1 = 1
+  next t;
+  t.rl land 1 = 1
 
 let uniform t lo hi = lo +. ((hi -. lo) *. float t)
 

@@ -228,4 +228,4 @@ let attach_flight t flight = t.ctx.Pmap.flight <- Some flight
 
 (* Total busy CPU time, for overhead percentages. *)
 let total_busy_time t =
-  Array.fold_left (fun acc (c : Sim.Cpu.t) -> acc +. c.Sim.Cpu.busy_time) 0.0 t.cpus
+  Array.fold_left (fun acc (c : Sim.Cpu.t) -> acc +. c.Sim.Cpu.acct.busy_time) 0.0 t.cpus

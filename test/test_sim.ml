@@ -128,6 +128,254 @@ let heap_sorted =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Engine queue order: the engine against a reference built on Sim.Heap
+   alone, plus the same-instant edge cases *)
+
+(* A generated program.  [Delay] and [Park] only act inside a coroutine;
+   in a thunk they are skipped, by the engine and the reference alike. *)
+type act =
+  | Log of int  (** record (tag, now) *)
+  | At of float * act list  (** thunk at an absolute time, maybe past *)
+  | After of float * act list  (** thunk after a delay, often 0 *)
+  | Spawn of int * act list  (** coroutine on the given heap shard *)
+  | Delay of float
+  | Park of int  (** suspend, leaving the wakener in a slot *)
+  | Wake of int  (** wake the slot's wakener, maybe already fired *)
+  | Wake_after of float * int
+
+let rec pp_act = function
+  | Log i -> Printf.sprintf "Log %d" i
+  | At (t, b) -> Printf.sprintf "At (%g, %s)" t (pp_acts b)
+  | After (d, b) -> Printf.sprintf "After (%g, %s)" d (pp_acts b)
+  | Spawn (s, b) -> Printf.sprintf "Spawn (%d, %s)" s (pp_acts b)
+  | Delay d -> Printf.sprintf "Delay %g" d
+  | Park i -> Printf.sprintf "Park %d" i
+  | Wake i -> Printf.sprintf "Wake %d" i
+  | Wake_after (d, i) -> Printf.sprintf "Wake_after (%g, %d)" d i
+
+and pp_acts acts = "[" ^ String.concat "; " (List.map pp_act acts) ^ "]"
+
+let n_slots = 3
+
+(* What a run shows: the log, then (now, pending, events) after each
+   [run_until] limit and after the final [run]. *)
+type observed = (int * float) list * (float * int * int) list
+
+let run_engine (init, limits) : observed =
+  let eng = Sim.Engine.create ~shards:3 () in
+  let slots = Array.make n_slots Sim.Engine.no_wakener in
+  let log = ref [] in
+  let rec exec ~fiber acts =
+    List.iter
+      (function
+        | Log i -> log := (i, Sim.Engine.now eng) :: !log
+        | At (tm, b) -> Sim.Engine.at eng tm (fun () -> exec ~fiber:false b)
+        | After (dt, b) ->
+            Sim.Engine.after eng dt (fun () -> exec ~fiber:false b)
+        | Spawn (shard, b) ->
+            Sim.Engine.spawn eng ~shard (fun () -> exec ~fiber:true b)
+        | Delay dt -> if fiber then Sim.Engine.delay dt
+        | Park i ->
+            if fiber then Sim.Engine.suspend (fun w -> slots.(i) <- w)
+        | Wake i -> Sim.Engine.wake eng slots.(i)
+        | Wake_after (dt, i) -> Sim.Engine.wake_after eng dt slots.(i))
+      acts
+  in
+  exec ~fiber:false init;
+  let snap () =
+    ( Sim.Engine.now eng,
+      Sim.Engine.pending eng,
+      Sim.Engine.events_processed eng )
+  in
+  let snaps =
+    List.map
+      (fun d ->
+        Sim.Engine.run_until eng (Sim.Engine.now eng +. d);
+        snap ())
+      limits
+  in
+  Sim.Engine.run eng;
+  (List.rev !log, snaps @ [ snap () ])
+
+(* The reference: one Sim.Heap keyed by (clamped time, push count), a
+   coroutine's remaining acts as its continuation. *)
+type ref_wakener = { mutable fired : bool; mutable rest : act list option }
+
+type ref_ev = Acts of bool * act list | Timer of ref_wakener
+
+let run_reference (init, limits) : observed =
+  let heap = Sim.Heap.create ~dummy:(Acts (false, [])) () in
+  let now = ref 0.0 and seq = ref 0 and events = ref 0 in
+  let slots = Array.init n_slots (fun _ -> { fired = true; rest = None }) in
+  let log = ref [] in
+  let push time ev =
+    let time = if time < !now then !now else time in
+    incr seq;
+    Sim.Heap.push heap time !seq ev
+  in
+  let wake w =
+    if not w.fired then begin
+      w.fired <- true;
+      match w.rest with
+      | Some rest ->
+          w.rest <- None;
+          push !now (Acts (true, rest))
+      | None -> ()
+    end
+  in
+  let rec exec ~fiber = function
+    | [] -> ()
+    | act :: rest -> (
+        match act with
+        | Delay dt when fiber -> push (!now +. dt) (Acts (true, rest))
+        | Park i when fiber -> slots.(i) <- { fired = false; rest = Some rest }
+        | _ ->
+            (match act with
+            | Log i -> log := (i, !now) :: !log
+            | At (tm, b) -> push tm (Acts (false, b))
+            | After (dt, b) -> push (!now +. dt) (Acts (false, b))
+            | Spawn (_, b) -> push !now (Acts (true, b))
+            | Delay _ | Park _ -> ()
+            | Wake i -> wake slots.(i)
+            | Wake_after (dt, i) -> push (!now +. dt) (Timer slots.(i)));
+            exec ~fiber rest)
+  in
+  let pop () =
+    let time, _, ev = Sim.Heap.pop heap in
+    now := time;
+    incr events;
+    match ev with Acts (fiber, acts) -> exec ~fiber acts | Timer w -> wake w
+  in
+  exec ~fiber:false init;
+  let snap () = (!now, Sim.Heap.length heap, !events) in
+  let snaps =
+    List.map
+      (fun d ->
+        let limit = !now +. d in
+        while
+          (not (Sim.Heap.is_empty heap)) && Sim.Heap.min_time heap <= limit
+        do
+          pop ()
+        done;
+        if not (Sim.Heap.is_empty heap) then now := limit;
+        snap ())
+      limits
+  in
+  while not (Sim.Heap.is_empty heap) do
+    pop ()
+  done;
+  (List.rev !log, snaps @ [ snap () ])
+
+let gen_program =
+  let open QCheck.Gen in
+  (* mostly 0: same-instant pushes and nested same-instant bursts *)
+  let dt = frequency [ (4, return 0.0); (1, oneofl [ 1.0; 2.5; 5.0 ]) ] in
+  (* absolute times, which fall into the past as the clock moves *)
+  let abs_time = oneofl [ 0.0; 1.0; 3.0; 5.0; 8.0 ] in
+  let slot = int_bound (n_slots - 1) in
+  let act =
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (3, map (fun i -> Log i) small_nat);
+                 (2, map (fun d -> Delay d) dt);
+                 (2, map (fun i -> Park i) slot);
+                 (2, map (fun i -> Wake i) slot);
+                 (2, map2 (fun d i -> Wake_after (d, i)) dt slot);
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             let body = list_size (int_bound 4) (self (n / 3)) in
+             frequency
+               [
+                 (4, leaf);
+                 (2, map2 (fun t b -> At (t, b)) abs_time body);
+                 (3, map2 (fun d b -> After (d, b)) dt body);
+                 (2, map2 (fun s b -> Spawn (s, b)) (int_bound 2) body);
+               ])
+  in
+  pair
+    (list_size (int_range 1 6) act)
+    (list_size (int_bound 3) (oneofl [ 0.0; 0.5; 2.0; 7.0 ]))
+
+let queue_order_matches_reference =
+  QCheck.Test.make ~name:"engine pop order = Sim.Heap reference" ~count:500
+    (QCheck.make gen_program ~print:(fun (init, limits) ->
+         Printf.sprintf "init %s, run_until deltas [%s]" (pp_acts init)
+           (String.concat "; " (List.map string_of_float limits))))
+    (fun prog -> run_engine prog = run_reference prog)
+
+(* A thunk that re-schedules itself for the same instant never lets the
+   clock move: the event budget trips, and the histogram names it. *)
+let test_same_instant_runaway () =
+  let eng = Sim.Engine.create ~max_events:50 () in
+  Sim.Engine.at ~label:"later" eng 100.0 ignore;
+  let rec spin () = Sim.Engine.after ~label:"same-instant" eng 0.0 spin in
+  Sim.Engine.at eng 5.0 spin;
+  match Sim.Engine.run eng with
+  | () -> Alcotest.fail "expected Runaway"
+  | exception Sim.Engine.Runaway r ->
+      Alcotest.(check int) "events executed" 51 r.Sim.Engine.runaway_events;
+      check_float "clock held at the instant" ~eps:0.0 5.0
+        r.Sim.Engine.runaway_at;
+      Alcotest.(check (list (pair string int)))
+        "histogram counts both queues"
+        [ ("later", 1); ("same-instant", 1) ]
+        r.Sim.Engine.runaway_pending
+
+(* The clock never moves backwards: a limit below [now] is refused. *)
+let test_run_until_backwards () =
+  let eng = Sim.Engine.create () in
+  Sim.Engine.at eng 150.0 ignore;
+  Sim.Engine.run_until eng 100.0;
+  Alcotest.check_raises "limit before now"
+    (Invalid_argument "Engine.run_until: limit is before the current time")
+    (fun () -> Sim.Engine.run_until eng 50.0);
+  check_float "clock unchanged" ~eps:0.0 100.0 (Sim.Engine.now eng);
+  Sim.Engine.run_until eng 100.0;
+  Alcotest.(check int) "later event still queued" 1 (Sim.Engine.pending eng)
+
+(* A tie at T between an event pushed for T before the clock reached T
+   (H) and one pushed at T once the clock was there (Z): the explorer is
+   offered both, in seq order.  It is attached mid-instant, the way a
+   machine boots before its explorer attaches. *)
+let test_explorer_tie_across_queues () =
+  let run choice =
+    let eng = Sim.Engine.create () in
+    let ex = Sim.Explore.create ~prefix:[| choice |] () in
+    let order = ref [] in
+    let log tag = order := tag :: !order in
+    Sim.Engine.at eng 10.0 (fun () ->
+        log "W";
+        Sim.Engine.set_explore eng (Some ex);
+        Sim.Engine.after eng 0.0 (fun () -> log "Z"));
+    Sim.Engine.at eng 10.0 (fun () -> log "H");
+    Sim.Engine.run eng;
+    let offered =
+      List.map
+        (fun (d : Sim.Explore.decision) ->
+          (Sim.Explore.kind_name d.d_kind, d.d_alts, d.d_chosen))
+        (Sim.Explore.decisions ex)
+    in
+    (List.rev !order, offered)
+  in
+  let check_run choice expected =
+    let order, offered = run choice in
+    Alcotest.(check (list string))
+      (Printf.sprintf "order, choice %d" choice)
+      expected order;
+    Alcotest.(check (list (triple string int int)))
+      (Printf.sprintf "one two-way tie, choice %d" choice)
+      [ ("tie", 2, choice) ]
+      offered
+  in
+  check_run 0 [ "W"; "H"; "Z" ];
+  check_run 1 [ "W"; "Z"; "H" ]
+
+(* ------------------------------------------------------------------ *)
 (* Prng *)
 
 let test_prng_deterministic () =
@@ -628,6 +876,16 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
         ] );
       ("heap", List.map QCheck_alcotest.to_alcotest [ heap_sorted ]);
+      ( "queue order",
+        [
+          QCheck_alcotest.to_alcotest queue_order_matches_reference;
+          Alcotest.test_case "same-instant runaway" `Quick
+            test_same_instant_runaway;
+          Alcotest.test_case "run_until never goes back" `Quick
+            test_run_until_backwards;
+          Alcotest.test_case "explorer tie across queues" `Quick
+            test_explorer_tie_across_queues;
+        ] );
       ( "prng",
         Alcotest.test_case "deterministic" `Quick test_prng_deterministic
         :: List.map QCheck_alcotest.to_alcotest
