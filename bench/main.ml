@@ -1,13 +1,13 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (sections 5-9) and also times the regeneration
-   kernels themselves with Bechamel (one Test.make per table/figure).
+   paper's evaluation (sections 5-9).  Host-time costs per layer are
+   measured from outside, by perfbench/.
 
    Modes:
-     (default)    — the full run: every section below plus Bechamel
+     (default)    — the full run: every section below
      --smoke      — small deterministic subset for CI: Figure 2 at
                     1..8 processors x 3 runs, Table 1 and the
                     applications at 10 % scale; skips the baselines,
-                    scaling, pools, ablations and Bechamel sections
+                    scaling, pools and ablations sections
      --json FILE  — additionally write the Instrument.Metrics report
                     (schema-stable JSON; byte-identical across runs
                     with the same seed AND across --jobs values) to FILE
@@ -29,8 +29,7 @@
      TABLE 3   — user-pmap initiator statistics (Camelot)
      TABLE 4   — responder statistics (5 of 16 CPUs sampled)
      OVERHEAD  — section 8 percentages + scaling extrapolation
-     ABLATIONS — section 9 hardware support options
-     BECHAMEL  — wall-clock cost of each regeneration kernel *)
+     ABLATIONS — section 9 hardware support options *)
 
 let section name =
   Printf.printf "\n================ %s ================\n%!" name
@@ -92,73 +91,6 @@ let run_extensions ~jobs fig =
   let a = Experiments.Ablations.run ~jobs () in
   print_string (Experiments.Ablations.render a)
 
-let run_bechamel () =
-  section "BECHAMEL: REGENERATION KERNEL COSTS";
-  let open Bechamel in
-  let tester ~children ~policy () =
-    let params =
-      match policy with
-      | `Shootdown -> Sim.Params.default
-      | `Hw ->
-          {
-            Sim.Params.default with
-            consistency = Sim.Params.Hw_remote;
-            tlb_interlocked_refmod = true;
-          }
-    in
-    ignore (Workloads.Tlb_tester.run_fresh ~params ~children ~seed:7L ())
-  in
-  let tiny = 10 (* percent scale for the application kernels *) in
-  let tests =
-    Test.make_grouped ~name:"repro"
-      [
-        Test.make ~name:"figure2:one-shootdown-k4"
-          (Staged.stage (tester ~children:4 ~policy:`Shootdown));
-        Test.make ~name:"table1:parthenon-lazy"
-          (Staged.stage (fun () ->
-               ignore
-                 (Workloads.Parthenon.run
-                    ~cfg:(Experiments.Apps.scaled_parthenon tiny)
-                    ())));
-        Test.make ~name:"table2:mach-build"
-          (Staged.stage (fun () ->
-               ignore
-                 (Workloads.Mach_build.run
-                    ~cfg:(Experiments.Apps.scaled_mach tiny)
-                    ())));
-        Test.make ~name:"table3:camelot"
-          (Staged.stage (fun () ->
-               ignore
-                 (Workloads.Camelot.run
-                    ~cfg:(Experiments.Apps.scaled_camelot tiny)
-                    ())));
-        Test.make ~name:"table4:responders-k8"
-          (Staged.stage (tester ~children:8 ~policy:`Shootdown));
-        Test.make ~name:"ablations:hw-remote-k4"
-          (Staged.stage (tester ~children:4 ~policy:`Hw));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  (* A 300 ms quota is plenty for stable OLS estimates here: every
-     kernel runs 10-400 ms, so each test gets a handful of samples
-     either way and the estimate is dominated by the same runs.  The
-     old 1 s quota made Bechamel the largest fixed sequential cost of
-     the full bench (~7 s of wall clock that --jobs cannot touch). *)
-  let cfg =
-    Benchmark.cfg ~limit:20 ~quota:(Time.second 0.3) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols (List.hd instances) raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-32s %10.2f ms/run\n" name (est /. 1e6)
-      | Some _ | None -> Printf.printf "%-32s (no estimate)\n" name)
-    results
-
 let () =
   let smoke = ref false and json_out = ref "" in
   let run_json_out = ref "" in
@@ -187,10 +119,7 @@ let () =
   end;
   let t0 = Unix.gettimeofday () in
   let fig, t1, apps = run_core ~smoke:!smoke ~jobs:!jobs in
-  if not !smoke then begin
-    run_extensions ~jobs:!jobs fig;
-    run_bechamel ()
-  end;
+  if not !smoke then run_extensions ~jobs:!jobs fig;
   let wall_time_s = Unix.gettimeofday () -. t0 in
   if !json_out <> "" then begin
     let mode = if !smoke then "smoke" else "full" in

@@ -1,13 +1,14 @@
 (* tlbshoot: command-line driver for the reproduction experiments.
 
      tlbshoot figure2 [--runs 10] [--max-procs 15] [--jobs N]
-     tlbshoot table1 [--scale 100] [--jobs N]
-     tlbshoot tables [--scale 100] [--jobs N]  (Tables 2-4, one data set)
-     tlbshoot overhead [--scale 100] [--jobs N]
+     tlbshoot table1 | tables | overhead [--scale 100] [--jobs N]
+     tlbshoot baselines [--jobs N]
+     tlbshoot scaling [--runs 3] [--jobs N]
+     tlbshoot pools
      tlbshoot ablations [--runs 3] [--jobs N]
      tlbshoot faults [--trials 3] [--children 6] [--jobs N] [--json]
-     tlbshoot batch [--scale 100] [--jobs N] [--json]
-     tlbshoot tester --children 4 [--no-consistency | --policy ...]
+     tlbshoot batch | elide [--scale 100] [--jobs N] [--json]
+     tlbshoot tester [--children 4] [--policy shootdown|none|...]
      tlbshoot trace [--workload tester] [--children 4] [--scale 10]
                     [--json] [--perfetto out.json]
      tlbshoot profile [--runs 10] [--max-procs 15] [--jobs N] [--json]
@@ -15,12 +16,13 @@
                       [--json] [--perfetto out.json]
      tlbshoot scale1024 [--runs 3] [--full] [--cluster-size 16] [--jobs N]
                         [--json]
-     tlbshoot all [--scale 100] [--jobs N]
+     tlbshoot check [--json] [--mutant M] [--replay FILE] ...
 
    --jobs fans independent trials over that many OCaml domains through
    Sim.Domain_pool; the default is the machine's recommended domain
    count and the output is bit-for-bit identical at any value (see
-   docs/PARALLELISM.md). *)
+   docs/PARALLELISM.md).  --runs, --trials and --jobs must be positive
+   and --max-procs within 2..15; anything else is a usage error. *)
 
 open Cmdliner
 
@@ -75,18 +77,18 @@ let print_faults ~jobs ~trials ~children ~emit_json =
   if not (Experiments.Resilience.all_green r) then exit 1
 
 let print_batch ~jobs ~scale ~emit_json =
-  let b = Experiments.Batching.run ~jobs ~scale () in
-  if emit_json then
-    print_string (Instrument.Json.to_string (Experiments.Batching.to_json b))
-  else print_string (Experiments.Batching.render b);
-  if not (Experiments.Batching.batching_helps b) then exit 1
+  let module M = Experiments.Mechanism in
+  let b = M.run ~jobs ~scale M.batch_variants in
+  if emit_json then print_string (Instrument.Json.to_string (M.batch_json b))
+  else print_string (M.render_batch b);
+  if not (M.batching_helps b) then exit 1
 
 let print_elide ~jobs ~scale ~emit_json =
-  let e = Experiments.Elision.run ~jobs ~scale () in
-  if emit_json then
-    print_string (Instrument.Json.to_string (Experiments.Elision.to_json e))
-  else print_string (Experiments.Elision.render e);
-  if not (Experiments.Elision.elision_helps e) then exit 1
+  let module M = Experiments.Mechanism in
+  let e = M.run ~jobs ~scale M.elide_variants in
+  if emit_json then print_string (Instrument.Json.to_string (M.elide_json e))
+  else print_string (M.render_elide e);
+  if not (M.elision_helps e) then exit 1
 
 let policies =
   [
@@ -204,28 +206,19 @@ let print_explain ~jobs ~runs ~max_procs ~top ~window ~emit_json ~perfetto =
     Experiments.Tail.run ~jobs ~runs_per_point:runs ~max_procs ~top_k:top
       ~window ()
   in
-  (match perfetto with
-  | None -> ()
-  | Some file -> (
+  (match (perfetto, List.rev t.Experiments.Tail.points) with
+  | Some file, p :: _ -> (
       (* the largest point carries the interesting tail: write its
          timeline as Perfetto counter tracks *)
-      let hi =
-        List.fold_left
-          (fun m (p : Experiments.Tail.point) ->
-            Stdlib.max m p.Experiments.Tail.cpus)
-          0 t.Experiments.Tail.points
-      in
-      match Experiments.Tail.find_point t ~cpus:hi with
-      | Some p -> (
-          match Instrument.Flight.timeline p.Experiments.Tail.flight with
-          | Some tl ->
-              let oc = open_out file in
-              output_string oc (Instrument.Perfetto.timeline_to_string tl);
-              close_out oc;
-              Printf.printf "wrote timeline counter tracks (%d cpus) to %s\n"
-                hi file
-          | None -> ())
-      | None -> ()));
+      match Instrument.Flight.timeline p.Experiments.Tail.flight with
+      | Some tl ->
+          let oc = open_out file in
+          output_string oc (Instrument.Perfetto.timeline_to_string tl);
+          close_out oc;
+          Printf.printf "wrote timeline counter tracks (%d cpus) to %s\n"
+            p.Experiments.Tail.cpus file
+      | None -> ())
+  | None, _ | _, [] -> ());
   if emit_json then
     print_string (Instrument.Json.to_string (Experiments.Tail.to_json t))
   else print_string (Experiments.Tail.render t);
@@ -318,37 +311,46 @@ let run_check ~cpus ~depth ~max_schedules ~no_prune ~mutant ~scenario
               cex_out cex_out;
           exit 1)
 
-let print_all ~jobs ~scale ~runs =
-  print_figure2 ~jobs ~runs ~max_procs:15;
-  print_newline ();
-  print_table1 ~jobs ~scale;
-  print_newline ();
-  print_tables ~jobs ~scale;
-  print_newline ();
-  print_overhead ~jobs ~scale;
-  print_newline ();
-  print_ablations ~jobs ~runs:2
-
 (* --- cmdliner wiring --- *)
 
 let scale_arg =
   Arg.(value & opt int 100 & info [ "scale" ] ~doc:"Workload scale percent.")
 
+(* An integer option confined to [lo, hi]: a value outside is a usage
+   error (exit 124), not an exception from inside a sweep. *)
+let int_in ~lo ~hi expected =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when lo <= n && n <= hi -> Ok n
+        | _ ->
+            Error
+              (`Msg
+                (Printf.sprintf "invalid value '%s', expected %s" s expected))),
+      Format.pp_print_int )
+
+let positive = int_in ~lo:1 ~hi:max_int "a positive integer"
+
 let jobs_arg =
   Arg.(
     value
-    & opt int (Sim.Domain_pool.default_jobs ())
+    & opt positive (Sim.Domain_pool.default_jobs ())
     & info [ "jobs" ]
         ~doc:
           "Trial-level parallelism: independent simulations fan out over \
            this many OCaml domains (1 = sequential; output is identical \
            either way).")
 
-let runs_arg =
-  Arg.(value & opt int 10 & info [ "runs" ] ~doc:"Runs per data point.")
+let runs_arg default doc =
+  Arg.(value & opt positive default & info [ "runs" ] ~doc)
 
+(* Figure 2 needs two points for its fit, and every tester child its own
+   CPU besides the initiator's on the 16-CPU machine. *)
 let max_procs_arg =
-  Arg.(value & opt int 15 & info [ "max-procs" ] ~doc:"Largest processor count.")
+  Arg.(
+    value
+    & opt (int_in ~lo:2 ~hi:15 "an integer from 2 to 15") 15
+    & info [ "max-procs" ] ~doc:"Largest processor count.")
 
 let children_arg =
   Arg.(value & opt int 4 & info [ "children" ] ~doc:"Tester child threads.")
@@ -369,7 +371,7 @@ let figure2_cmd =
   cmd "figure2" "Reproduce Figure 2 (basic shootdown costs)"
     Term.(
       const (fun jobs runs max_procs -> print_figure2 ~jobs ~runs ~max_procs)
-      $ jobs_arg $ runs_arg $ max_procs_arg)
+      $ jobs_arg $ runs_arg 10 "Runs per data point." $ max_procs_arg)
 
 let table1_cmd =
   cmd "table1" "Reproduce Table 1 (lazy evaluation)"
@@ -393,8 +395,7 @@ let scaling_cmd =
   cmd "scaling" "Validate the section 8 extrapolation on larger machines"
     Term.(
       const (fun jobs runs -> print_scaling ~jobs ~runs)
-      $ jobs_arg
-      $ Arg.(value & opt int 3 & info [ "runs" ] ~doc:"Runs per point."))
+      $ jobs_arg $ runs_arg 3 "Runs per point.")
 
 let pools_cmd =
   cmd "pools" "Measure the section 8 pool-structured-kernel proposal"
@@ -404,12 +405,12 @@ let ablations_cmd =
   cmd "ablations" "Run the section 9 hardware-option ablations"
     Term.(
       const (fun jobs runs -> print_ablations ~jobs ~runs)
-      $ jobs_arg
-      $ Arg.(value & opt int 3 & info [ "runs" ] ~doc:"Runs per point."))
+      $ jobs_arg $ runs_arg 3 "Runs per point.")
 
 let faults_cmd =
   let trials_arg =
-    Arg.(value & opt int 3 & info [ "trials" ] ~doc:"Trials per fault plan.")
+    Arg.(
+      value & opt positive 3 & info [ "trials" ] ~doc:"Trials per fault plan.")
   in
   let json_arg =
     Arg.(
@@ -516,7 +517,9 @@ let profile_cmd =
     Term.(
       const (fun jobs runs max_procs emit_json ->
           print_profile ~jobs ~runs ~max_procs ~emit_json)
-      $ jobs_arg $ runs_arg $ max_procs_arg $ json_arg)
+      $ jobs_arg
+      $ runs_arg 10 "Runs per data point."
+      $ max_procs_arg $ json_arg)
 
 let explain_cmd =
   let top_arg =
@@ -560,13 +563,12 @@ let explain_cmd =
       const (fun jobs runs max_procs top window emit_json perfetto ->
           print_explain ~jobs ~runs ~max_procs ~top ~window ~emit_json
             ~perfetto)
-      $ jobs_arg $ runs_arg $ max_procs_arg $ top_arg $ window_arg $ json_arg
+      $ jobs_arg
+      $ runs_arg 10 "Runs per data point."
+      $ max_procs_arg $ top_arg $ window_arg $ json_arg
       $ perfetto_arg)
 
 let scale1024_cmd =
-  let runs_arg =
-    Arg.(value & opt int 3 & info [ "runs" ] ~doc:"Runs per scale point.")
-  in
   let full_arg =
     Arg.(
       value & flag
@@ -594,7 +596,9 @@ let scale1024_cmd =
     Term.(
       const (fun jobs runs full cluster_size emit_json ->
           print_scale1024 ~jobs ~runs ~full ~cluster_size ~emit_json)
-      $ jobs_arg $ runs_arg $ full_arg $ cluster_size_arg $ json_arg)
+      $ jobs_arg
+      $ runs_arg 3 "Runs per scale point."
+      $ full_arg $ cluster_size_arg $ json_arg)
 
 let check_cmd =
   let cpus_arg =
@@ -688,12 +692,6 @@ let check_cmd =
       $ cpus_arg $ depth_arg $ max_schedules_arg $ no_prune_arg $ mutant_arg
       $ scenario_arg $ json_arg $ cex_arg $ replay_arg $ perfetto_arg)
 
-let all_cmd =
-  cmd "all" "Run every experiment"
-    Term.(
-      const (fun jobs scale runs -> print_all ~jobs ~scale ~runs)
-      $ jobs_arg $ scale_arg $ runs_arg)
-
 let () =
   let info =
     Cmd.info "tlbshoot" ~version:"1.0"
@@ -721,7 +719,6 @@ let () =
         explain_cmd;
         scale1024_cmd;
         check_cmd;
-        all_cmd;
       ]
   in
   exit (Cmd.eval group)

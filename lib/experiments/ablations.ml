@@ -80,10 +80,10 @@ let measure_variant ?(runs = 3) ~procs v =
   let responders = ref [] in
   let consistent = ref true in
   for r = 1 to runs do
-    let seed = Int64.of_int ((procs * 7919) + r) in
-    let params = { v.params with Sim.Params.seed } in
-    let machine = Vm.Machine.create ~params () in
-    let res = Workloads.Tlb_tester.run machine ~children:procs () in
+    let res, machine =
+      Sweep.tester ~params:v.params ~recorder:Sweep.Bare ~children:procs
+        (Int64.of_int ((procs * 7919) + r))
+    in
     if not res.Workloads.Tlb_tester.consistent then consistent := false;
     let e = res.Workloads.Tlb_tester.initiator_elapsed in
     if not (Float.is_nan e) then samples := e :: !samples;
@@ -141,20 +141,17 @@ let threshold_sweep ?(jobs = 1) ?(procs = 6) () =
        (fun pages -> List.map (fun threshold -> (pages, threshold)) [ 2; 8; 32 ])
        [ 1; 4; 12 ])
 
-(* The variant grid and the threshold sweep fan their cells out through
-   the domain pool (every cell seeds its own machines); [find_crossover]
-   stays sequential because each step depends on the previous mean. *)
+(* The variant grid (one row per variant, run i at the i-th processor
+   count) and the threshold sweep fan their cells out through the domain
+   pool (every cell seeds its own machines); [find_crossover] stays
+   sequential because each step depends on the previous mean. *)
 let run ?(jobs = 1) ?(runs = 3) ?(procs_points = [ 3; 7; 14 ]) () =
-  let cell_results =
-    Sim.Domain_pool.map_trials ~jobs
-      (fun (v, k) -> measure_variant ~runs ~procs:k v)
-      (List.concat_map
-         (fun v -> List.map (fun k -> (v, k)) procs_points)
-         variants)
+  let grid =
+    Sweep.grid ~jobs ~runs:(List.length procs_points) variants (fun (v, i) ->
+        measure_variant ~runs ~procs:(List.nth procs_points i) v)
   in
-  let grid = Figure2.chunks (List.length procs_points) cell_results in
   {
-    grid;
+    grid = List.map snd grid;
     procs_points;
     crossover = find_crossover ();
     threshold_rows = threshold_sweep ~jobs ();

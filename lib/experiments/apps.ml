@@ -44,9 +44,10 @@ let scaled_camelot scale =
       max 20 (c.Workloads.Camelot.transactions * scale / 100);
   }
 
-(* Each application boots its own machine from [params], so the four
-   runs are independent trials for the domain pool. *)
-let run ?(jobs = 1) ?(scale = 100) ?(params = Sim.Params.production) () =
+(* Each application boots its own production machine, so the four runs
+   are independent trials for the domain pool. *)
+let run ?(jobs = 1) ?(scale = 100) () =
+  let params = Sim.Params.production in
   match
     Sim.Domain_pool.map_trials ~jobs
       (fun run -> run ())

@@ -27,51 +27,30 @@ type t = {
 
 let paper_fit = { Stats.slope = 55.0; intercept = 430.0; r2 = 1.0 }
 
-(* One (k children, run r) trial.  Each trial boots a fresh machine from a
-   seed derived only from (k, r), which is the determinism contract that
-   lets the sweep fan out over Sim.Domain_pool: results are bit-for-bit
-   identical at any job count. *)
-let trial ~params (k, r) =
-  let seed = Int64.of_int ((1000 * k) + r + 1) in
-  let res = Workloads.Tlb_tester.run_fresh ~params ~children:k ~seed () in
-  if res.Workloads.Tlb_tester.processors <> k then
-    failwith
-      (Printf.sprintf "figure2: expected %d processors involved, got %d" k
-         res.Workloads.Tlb_tester.processors);
-  (res.Workloads.Tlb_tester.initiator_elapsed,
-   res.Workloads.Tlb_tester.consistent)
-
-let rec chunks n = function
-  | [] -> []
-  | xs ->
-      let rec split i acc = function
-        | rest when i = n -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | x :: rest -> split (i + 1) (x :: acc) rest
-      in
-      let group, rest = split 0 [] xs in
-      group :: chunks n rest
-
+(* Each (k children, run r) trial boots a fresh machine from the Figure
+   2 seed of (k, r) alone, so the sweep is identical at any job count. *)
 let run ?(jobs = 1) ?(max_procs = 15) ?(runs_per_point = 10) ?(fit_limit = 12)
-    ?(params = Sim.Params.default) () =
-  let trial_inputs =
-    List.concat_map
-      (fun i ->
-        let k = i + 1 in
-        List.init runs_per_point (fun r -> (k, r)))
-      (List.init max_procs Fun.id)
-  in
-  let results = Sim.Domain_pool.map_trials ~jobs (trial ~params) trial_inputs in
-  let all_consistent =
-    List.for_all (fun (_, consistent) -> consistent) results
+    () =
+  let grid =
+    Sweep.grid ~jobs ~runs:runs_per_point (Sweep.procs max_procs)
+      (fun (k, r) ->
+        let res, _ =
+          Sweep.tester ~params:Sim.Params.default ~recorder:Sweep.Bare
+            ~children:k (Sweep.seed k r)
+        in
+        if res.Workloads.Tlb_tester.processors <> k then
+          failwith
+            (Printf.sprintf "figure2: expected %d processors involved, got %d"
+               k res.Workloads.Tlb_tester.processors);
+        (res, ()))
   in
   let points =
-    List.mapi
-      (fun i per_point ->
-        let samples = List.map fst per_point in
-        { processors = i + 1; mean = Stats.mean samples;
+    List.map
+      (fun (k, trials) ->
+        let samples = Sweep.elapsed trials in
+        { processors = k; mean = Stats.mean samples;
           std = Stats.std samples; samples })
-      (chunks runs_per_point results)
+      grid
   in
   let fit_points =
     List.filter_map
@@ -81,7 +60,8 @@ let run ?(jobs = 1) ?(max_procs = 15) ?(runs_per_point = 10) ?(fit_limit = 12)
         else None)
       points
   in
-  { points; fit = Stats.linear_fit fit_points; fit_limit; all_consistent }
+  { points; fit = Stats.linear_fit fit_points; fit_limit;
+    all_consistent = Sweep.all_consistent grid }
 
 (* ASCII rendering: the data table plus a bar plot with the trend line. *)
 let render t =

@@ -17,17 +17,13 @@
 
 module Json = Instrument.Json
 module Profile = Instrument.Profile
-module Histogram = Instrument.Histogram
 module Stats = Instrument.Stats
 module Tablefmt = Instrument.Tablefmt
 
 type point = {
   cpus : int; (* processors involved: k children + 1 initiator *)
   mean_elapsed : float; (* mean initiator elapsed, as figure2 *)
-  bus_wait_frac : float; (* of attributed (non-idle) CPU time *)
-  lock_spin_frac : float;
-  ack_wait_frac : float;
-  mean_queue_depth : float; (* bus queue depth seen at enqueue *)
+  shares : Sweep.shares; (* of the merged profile *)
   profile : Profile.t; (* merged across the point's runs *)
 }
 
@@ -37,105 +33,66 @@ type t = {
   all_consistent : bool;
 }
 
-(* One (k children, run r) trial: figure2's trial with a profiler
-   attached.  Same seed formula, fresh machine, fresh profiler; the
-   profiler is returned for the per-point ordered merge. *)
-let trial ~params (k, r) =
-  let seed = Int64.of_int ((1000 * k) + r + 1) in
-  let params = { params with Sim.Params.seed } in
-  let machine = Vm.Machine.create ~params () in
-  let profile = Profile.create ~ncpus:params.Sim.Params.ncpus () in
-  Vm.Machine.attach_profile machine profile;
-  let res = Workloads.Tlb_tester.run machine ~children:k () in
-  Profile.set_total profile (Vm.Machine.now machine);
-  ( res.Workloads.Tlb_tester.initiator_elapsed,
-    res.Workloads.Tlb_tester.consistent,
-    profile )
-
-let frac num den = if den > 0.0 then num /. den else 0.0
-
-let make_point ~cpus trials =
-  let samples = List.map (fun (e, _, _) -> e) trials in
-  let merged =
-    match trials with
-    | [] -> invalid_arg "Knee.make_point: empty point"
-    | (_, _, first) :: rest ->
-        (* ordered merge: run 0 first, then 1, ... — deterministic at any
-           job count, like Metrics.merge *)
-        List.iter (fun (_, _, p) -> Profile.merge ~into:first p) rest;
-        first
+(* Figure 2's sweep with a fresh profiler on every trial; the profiler
+   adds no simulated cost, so elapsed times match figure2's. *)
+let run ?(jobs = 1) ?(max_procs = 15) ?(runs_per_point = 10) () =
+  let params = Sim.Params.default in
+  let grid =
+    Sweep.grid ~jobs ~runs:runs_per_point (Sweep.procs max_procs)
+      (fun (k, r) ->
+        let profile = Profile.create ~ncpus:params.Sim.Params.ncpus () in
+        let res, _ =
+          Sweep.tester ~params ~recorder:(Sweep.Profiled profile) ~children:k
+            (Sweep.seed k r)
+        in
+        (res, profile))
   in
-  let attributed = Profile.attributed_total merged in
-  let depth =
-    match Profile.histogram merged ~name:"bus/queue_depth" with
-    | Some h when Histogram.count h > 0 -> Histogram.mean h
-    | Some _ | None -> 0.0
-  in
-  {
-    cpus;
-    mean_elapsed = Stats.mean samples;
-    bus_wait_frac =
-      frac (Profile.category_total merged Profile.Bus_wait) attributed;
-    lock_spin_frac =
-      frac (Profile.category_total merged Profile.Lock_spin) attributed;
-    ack_wait_frac =
-      frac (Profile.category_total merged Profile.Ack_wait) attributed;
-    mean_queue_depth = depth;
-    profile = merged;
-  }
-
-let run ?(jobs = 1) ?(max_procs = 15) ?(runs_per_point = 10)
-    ?(params = Sim.Params.default) () =
-  let trial_inputs =
-    List.concat_map
-      (fun i ->
-        let k = i + 1 in
-        List.init runs_per_point (fun r -> (k, r)))
-      (List.init max_procs Fun.id)
-  in
-  let results = Sim.Domain_pool.map_trials ~jobs (trial ~params) trial_inputs in
-  let all_consistent = List.for_all (fun (_, c, _) -> c) results in
   let points =
-    List.mapi
-      (fun i per_point -> make_point ~cpus:(i + 2) per_point)
-      (Figure2.chunks runs_per_point results)
+    List.map
+      (fun (k, trials) ->
+        let profile = Sweep.merge Profile.merge (List.map snd trials) in
+        {
+          cpus = k + 1;
+          mean_elapsed = Stats.mean (Sweep.elapsed trials);
+          shares = Sweep.shares profile;
+          profile;
+        })
+      grid
   in
-  { points; runs_per_point; all_consistent }
-
-let find_point t ~cpus = List.find_opt (fun p -> p.cpus = cpus) t.points
+  { points; runs_per_point; all_consistent = Sweep.all_consistent grid }
 
 (* The headline invariant the CI gate checks: the bus-wait share of CPU
    time at [hi] CPUs exceeds the share at [lo] CPUs — contention grows
    with the processor count, and superlinearly so near the knee. *)
 let knee_holds ?(lo = 4) ?(hi = 16) t =
-  match (find_point t ~cpus:lo, find_point t ~cpus:hi) with
-  | Some a, Some b -> b.bus_wait_frac > a.bus_wait_frac
-  | _ -> false
+  match Sweep.bracket (fun p -> p.cpus) ~lo ~hi t.points with
+  | Some (a, b) -> b.shares.bus_wait > a.shares.bus_wait
+  | None -> false
 
 let point_json p =
   Json.Obj
     [
       ("cpus", Json.Int p.cpus);
       ("mean_elapsed_us", Json.Float p.mean_elapsed);
-      ("bus_wait_frac", Json.Float p.bus_wait_frac);
-      ("lock_spin_frac", Json.Float p.lock_spin_frac);
-      ("ack_wait_frac", Json.Float p.ack_wait_frac);
-      ("mean_queue_depth", Json.Float p.mean_queue_depth);
+      ("bus_wait_frac", Json.Float p.shares.bus_wait);
+      ("lock_spin_frac", Json.Float p.shares.lock_spin);
+      ("ack_wait_frac", Json.Float p.shares.ack_wait);
+      ("mean_queue_depth", Json.Float p.shares.queue_depth);
     ]
 
 let to_json ?(lo = 4) ?(hi = 16) t =
   let knee =
-    match (find_point t ~cpus:lo, find_point t ~cpus:hi) with
-    | Some a, Some b ->
+    match Sweep.bracket (fun p -> p.cpus) ~lo ~hi t.points with
+    | Some (a, b) ->
         Json.Obj
           [
             ("lo_cpus", Json.Int lo);
             ("hi_cpus", Json.Int hi);
-            ("bus_wait_frac_lo", Json.Float a.bus_wait_frac);
-            ("bus_wait_frac_hi", Json.Float b.bus_wait_frac);
+            ("bus_wait_frac_lo", Json.Float a.shares.bus_wait);
+            ("bus_wait_frac_hi", Json.Float b.shares.bus_wait);
             ("holds", Json.Bool (knee_holds ~lo ~hi t));
           ]
-    | _ -> Json.Null
+    | None -> Json.Null
   in
   Json.Obj
     [
@@ -162,26 +119,17 @@ let render t =
         [
           string_of_int p.cpus;
           Printf.sprintf "%.0f" p.mean_elapsed;
-          Printf.sprintf "%.1f%%" (100.0 *. p.bus_wait_frac);
-          Printf.sprintf "%.1f%%" (100.0 *. p.lock_spin_frac);
-          Printf.sprintf "%.1f%%" (100.0 *. p.ack_wait_frac);
-          Printf.sprintf "%.2f" p.mean_queue_depth;
+          Printf.sprintf "%.1f%%" (100.0 *. p.shares.bus_wait);
+          Printf.sprintf "%.1f%%" (100.0 *. p.shares.lock_spin);
+          Printf.sprintf "%.1f%%" (100.0 *. p.shares.ack_wait);
+          Printf.sprintf "%.2f" p.shares.queue_depth;
         ])
     t.points;
   Buffer.add_string buf (Tablefmt.render table);
   (* bar plot of the bus-wait share: the knee made visible *)
-  let width = 48 in
-  let maxv =
-    List.fold_left (fun m p -> Float.max m p.bus_wait_frac) 1e-9 t.points
-  in
-  Buffer.add_string buf "\nbus-wait share of attributed CPU time:\n";
-  List.iter
-    (fun p ->
-      let bar = int_of_float (p.bus_wait_frac /. maxv *. float_of_int width) in
-      Buffer.add_string buf
-        (Printf.sprintf "%2d %s %5.1f%%\n" p.cpus (String.make bar '#')
-           (100.0 *. p.bus_wait_frac)))
-    t.points;
+  Buffer.add_string buf
+    (Sweep.share_bars "bus-wait share of attributed CPU time"
+       (List.map (fun p -> (p.cpus, p.shares.bus_wait)) t.points));
   Buffer.add_string buf
     (Printf.sprintf
        "\nknee invariant (bus-wait share at 16 cpus > at 4 cpus): %b\n\

@@ -165,7 +165,7 @@ type row = {
 
 type t = { rows : row list; trials : int; children : int }
 
-let sum_trials spec ts =
+let sum_trials (spec, ts) =
   let zero =
     {
       tester_consistent = true;
@@ -202,21 +202,11 @@ let sum_trials spec ts =
   }
 
 let run ?(jobs = 1) ?(trials = 3) ?(children = 6) () =
-  let cells =
-    List.concat_map
-      (fun spec -> List.init trials (fun r -> (spec, r)))
-      plans
-  in
-  let results =
-    Sim.Domain_pool.map_trials ~jobs
-      (fun (spec, r) ->
-        run_trial spec ~children
-          ~seed:(Int64.of_int (0x5E5 + (r * 7919) + Hashtbl.hash spec.key)))
-      cells
-  in
   let rows =
-    List.map2 sum_trials (List.map (fun s -> s) plans)
-      (Figure2.chunks trials results)
+    List.map sum_trials
+      (Sweep.grid ~jobs ~runs:trials plans (fun (spec, r) ->
+           run_trial spec ~children
+             ~seed:(Int64.of_int (0x5E5 + (r * 7919) + Hashtbl.hash spec.key))))
   in
   { rows; trials; children }
 

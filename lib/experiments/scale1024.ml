@@ -22,7 +22,6 @@
 
 module Json = Instrument.Json
 module Profile = Instrument.Profile
-module Histogram = Instrument.Histogram
 module Stats = Instrument.Stats
 module Tablefmt = Instrument.Tablefmt
 
@@ -32,10 +31,7 @@ type point = {
   mean_elapsed : float; (* mean initiator elapsed over the runs, us *)
   extrapolated : float; (* the paper's 430 + 55/processor line *)
   deviation : float; (* mean_elapsed / extrapolated *)
-  bus_wait_frac : float; (* of attributed (non-idle) CPU time *)
-  interconnect_wait_frac : float;
-  ack_wait_frac : float;
-  mean_queue_depth : float; (* cluster-bus queue depth at enqueue *)
+  shares : Sweep.shares; (* of the merged profile; cluster-bus depth *)
   profile : Profile.t; (* merged across the point's runs *)
 }
 
@@ -60,12 +56,13 @@ let quick_scales = [ 4; 16; 64; 256 ]
 let full_scales = [ 4; 8; 16; 32; 64; 128; 256; 512; 1024 ]
 
 (* Derive a machine of [n] CPUs in clusters of [cluster_size] from the
-   base parameters.  The watchdog budget scales with n: a shootdown
+   default parameters.  The watchdog budget scales with n: a shootdown
    with ~1000 responders serialising acks over shared buses
    legitimately outlives the 16-CPU default timeout, and a spurious
    escalation would force-invalidate TLBs and distort the very curve
    being measured. *)
-let scale_params ~base ~cluster_size n =
+let scale_params ~cluster_size n =
+  let base = Sim.Params.default in
   {
     base with
     Sim.Params.ncpus = n;
@@ -75,101 +72,43 @@ let scale_params ~base ~cluster_size n =
         (200.0 *. float_of_int n);
   }
 
-(* One (n CPUs, run r) trial: the tester with n-1 children — the
-   maximum one counter page supports is 1023 children, which is exactly
-   the 1024-CPU point.  Seed formula follows figure2's shape with n in
-   the major position, so points are reproducible in isolation. *)
-let trial ~base ~cluster_size (n, r) =
-  let seed = Int64.of_int ((1000 * n) + r + 1) in
-  let params =
-    { (scale_params ~base ~cluster_size n) with Sim.Params.seed }
-  in
-  let machine = Vm.Machine.create ~params () in
-  let profile = Profile.create ~ncpus:n () in
-  Vm.Machine.attach_profile machine profile;
-  let res = Workloads.Tlb_tester.run machine ~children:(n - 1) () in
-  Profile.set_total profile (Vm.Machine.now machine);
-  ( res.Workloads.Tlb_tester.initiator_elapsed,
-    res.Workloads.Tlb_tester.consistent,
-    profile )
-
-let frac num den = if den > 0.0 then num /. den else 0.0
 let extrapolate n = 430.0 +. (55.0 *. float_of_int n)
 
-let make_point ~cluster_size ~cpus trials =
-  let samples = List.map (fun (e, _, _) -> e) trials in
-  let merged =
-    match trials with
-    | [] -> invalid_arg "Scale1024.make_point: empty point"
-    | (_, _, first) :: rest ->
-        List.iter (fun (_, _, p) -> Profile.merge ~into:first p) rest;
-        first
-  in
-  let attributed = Profile.attributed_total merged in
-  let depth =
-    match Profile.histogram merged ~name:"bus/queue_depth" with
-    | Some h when Histogram.count h > 0 -> Histogram.mean h
-    | Some _ | None -> 0.0
-  in
-  let mean_elapsed = Stats.mean samples in
-  let extrapolated = extrapolate cpus in
-  {
-    cpus;
-    clusters = (cpus + cluster_size - 1) / cluster_size;
-    mean_elapsed;
-    extrapolated;
-    deviation = mean_elapsed /. extrapolated;
-    bus_wait_frac =
-      frac (Profile.category_total merged Profile.Bus_wait) attributed;
-    interconnect_wait_frac =
-      frac (Profile.category_total merged Profile.Interconnect_wait) attributed;
-    ack_wait_frac =
-      frac (Profile.category_total merged Profile.Ack_wait) attributed;
-    mean_queue_depth = depth;
-    profile = merged;
-  }
-
-(* One ablation trial; returns (elapsed, consistent, ipis sent). *)
-let ablation_trial ~base ~cluster_size ~n (mode, r) =
-  let seed = Int64.of_int ((1_000_000 * n) + r + 1) in
-  let params =
-    {
-      (scale_params ~base ~cluster_size n) with
-      Sim.Params.seed;
-      ipi_mode = mode;
-    }
-  in
-  let machine = Vm.Machine.create ~params () in
-  let res = Workloads.Tlb_tester.run machine ~children:(cluster_size - 1) () in
-  ( res.Workloads.Tlb_tester.initiator_elapsed,
-    res.Workloads.Tlb_tester.consistent,
-    machine.Vm.Machine.ctx.Core.Pmap.ipis_sent )
-
 let run ?(jobs = 1) ?(scales = quick_scales) ?(runs_per_point = 3)
-    ?(cluster_size = 16) ?(params = Sim.Params.default) () =
+    ?(cluster_size = 16) () =
   if scales = [] then invalid_arg "Scale1024.run: empty scale list";
   if cluster_size < 2 then invalid_arg "Scale1024.run: cluster_size must be >= 2";
   let scales = List.sort_uniq compare scales in
-  let trial_inputs =
-    List.concat_map
-      (fun n -> List.init runs_per_point (fun r -> (n, r)))
-      scales
+  (* One (n CPUs, run r) trial: the tester with n-1 children — the
+     maximum one counter page supports is 1023 children, which is exactly
+     the 1024-CPU point.  The Figure 2 seed takes n in k's place. *)
+  let grid =
+    Sweep.grid ~jobs ~runs:runs_per_point scales (fun (n, r) ->
+        let profile = Profile.create ~ncpus:n () in
+        let res, _ =
+          Sweep.tester ~params:(scale_params ~cluster_size n)
+            ~recorder:(Sweep.Profiled profile) ~children:(n - 1)
+            (Sweep.seed n r)
+        in
+        (res, profile))
   in
-  let results =
-    Sim.Domain_pool.map_trials ~jobs
-      (trial ~base:params ~cluster_size)
-      trial_inputs
-  in
-  let sweep_consistent = List.for_all (fun (_, c, _) -> c) results in
-  let points =
-    List.map2
-      (fun n per_point -> make_point ~cluster_size ~cpus:n per_point)
-      scales
-      (Figure2.chunks runs_per_point results)
+  let point (cpus, trials) =
+    let mean_elapsed = Stats.mean (Sweep.elapsed trials) in
+    let extrapolated = extrapolate cpus in
+    let profile = Sweep.merge Profile.merge (List.map snd trials) in
+    {
+      cpus;
+      clusters = (cpus + cluster_size - 1) / cluster_size;
+      mean_elapsed;
+      extrapolated;
+      deviation = mean_elapsed /. extrapolated;
+      shares = Sweep.shares profile;
+      profile;
+    }
   in
   (* Ablation at the largest swept scale <= 256 with at least two
      clusters: a tester task resident on cluster 0 only, targeted
-     multicast vs. broadcast. *)
+     multicast vs. broadcast, with ipis = the most any run sent. *)
   let abl_n =
     List.fold_left
       (fun acc n -> if n <= 256 && n >= 2 * cluster_size then n else acc)
@@ -178,42 +117,40 @@ let run ?(jobs = 1) ?(scales = quick_scales) ?(runs_per_point = 3)
   let ablation, ablation_consistent =
     if abl_n = 0 then (None, true)
     else begin
-      let inputs =
-        List.concat_map
-          (fun mode -> List.init runs_per_point (fun r -> (mode, r)))
-          [ Sim.Params.Multicast; Sim.Params.Broadcast ]
+      let modes = [ Sim.Params.Multicast; Sim.Params.Broadcast ] in
+      let abl =
+        Sweep.grid ~jobs ~runs:runs_per_point modes (fun (mode, r) ->
+            let res, machine =
+              Sweep.tester
+                ~params:
+                  { (scale_params ~cluster_size abl_n) with
+                    Sim.Params.ipi_mode = mode }
+                ~recorder:Sweep.Bare ~children:(cluster_size - 1)
+                (Int64.of_int ((1_000_000 * abl_n) + r + 1))
+            in
+            (res, machine.Vm.Machine.ctx.Core.Pmap.ipis_sent))
       in
-      let res =
-        Sim.Domain_pool.map_trials ~jobs
-          (ablation_trial ~base:params ~cluster_size ~n:abl_n)
-          inputs
-      in
-      let targeted, broadcast =
-        match Figure2.chunks runs_per_point res with
-        | [ a; b ] -> (a, b)
-        | _ -> invalid_arg "Scale1024.run: ablation chunking"
-      in
-      let mean l = Stats.mean (List.map (fun (e, _, _) -> e) l) in
-      let ipis l =
-        List.fold_left (fun acc (_, _, i) -> max acc i) 0 l
+      let mean mode = Stats.mean (Sweep.elapsed (List.assoc mode abl)) in
+      let ipis mode =
+        List.fold_left (fun acc (_, i) -> max acc i) 0 (List.assoc mode abl)
       in
       ( Some
           {
             ablation_cpus = abl_n;
             resident_cpus = cluster_size;
-            targeted_elapsed = mean targeted;
-            targeted_ipis = ipis targeted;
-            broadcast_elapsed = mean broadcast;
-            broadcast_ipis = ipis broadcast;
+            targeted_elapsed = mean Sim.Params.Multicast;
+            targeted_ipis = ipis Sim.Params.Multicast;
+            broadcast_elapsed = mean Sim.Params.Broadcast;
+            broadcast_ipis = ipis Sim.Params.Broadcast;
           },
-        List.for_all (fun (_, c, _) -> c) res )
+        Sweep.all_consistent abl )
     end
   in
   {
-    points;
+    points = List.map point grid;
     runs_per_point;
     cluster_size;
-    all_consistent = sweep_consistent && ablation_consistent;
+    all_consistent = Sweep.all_consistent grid && ablation_consistent;
     ablation;
   }
 
@@ -258,10 +195,10 @@ let point_json p =
       ("mean_elapsed_us", Json.Float p.mean_elapsed);
       ("extrapolated_us", Json.Float p.extrapolated);
       ("deviation", Json.Float p.deviation);
-      ("bus_wait_frac", Json.Float p.bus_wait_frac);
-      ("interconnect_wait_frac", Json.Float p.interconnect_wait_frac);
-      ("ack_wait_frac", Json.Float p.ack_wait_frac);
-      ("mean_queue_depth", Json.Float p.mean_queue_depth);
+      ("bus_wait_frac", Json.Float p.shares.bus_wait);
+      ("interconnect_wait_frac", Json.Float p.shares.interconnect_wait);
+      ("ack_wait_frac", Json.Float p.shares.ack_wait);
+      ("mean_queue_depth", Json.Float p.shares.queue_depth);
     ]
 
 let to_json t =
@@ -319,9 +256,9 @@ let render t =
           Printf.sprintf "%.0f" p.mean_elapsed;
           Printf.sprintf "%.0f" p.extrapolated;
           Printf.sprintf "%.2fx" p.deviation;
-          Printf.sprintf "%.1f%%" (100.0 *. p.bus_wait_frac);
-          Printf.sprintf "%.1f%%" (100.0 *. p.interconnect_wait_frac);
-          Printf.sprintf "%.1f%%" (100.0 *. p.ack_wait_frac);
+          Printf.sprintf "%.1f%%" (100.0 *. p.shares.bus_wait);
+          Printf.sprintf "%.1f%%" (100.0 *. p.shares.interconnect_wait);
+          Printf.sprintf "%.1f%%" (100.0 *. p.shares.ack_wait);
         ])
     t.points;
   Buffer.add_string buf (Tablefmt.render table);

@@ -31,7 +31,7 @@ type t = { fit : Stats.fit; points : point list }
 (* One (machine size, bus regime, run) trial — the seed derives only from
    (ncpus, r), so the sweep fans out through Sim.Domain_pool with results
    identical to a sequential pass. *)
-let trial (ncpus, scaled_bus, r) =
+let trial ((ncpus, scaled_bus), r) =
   let involved = ncpus - 2 in
   let params =
     {
@@ -71,26 +71,18 @@ let run ?(jobs = 1) ?(runs = 3) ?(sizes = [ 16; 24; 32; 48; 64 ]) ~fit () =
       (fun ncpus -> [ (ncpus, true); (ncpus, false) ])
       sizes
   in
-  let samples =
-    Sim.Domain_pool.map_trials ~jobs trial
-      (List.concat_map
-         (fun (ncpus, scaled_bus) ->
-           List.init runs (fun r -> (ncpus, scaled_bus, r)))
-         cells)
-  in
   let points =
-    List.mapi
-      (fun i per_cell ->
-        let ncpus, scaled_bus = List.nth cells i in
+    List.map
+      (fun ((ncpus, scaled_bus), samples) ->
         let involved = ncpus - 2 in
         {
           ncpus;
           involved;
-          measured = Stats.mean per_cell;
+          measured = Stats.mean samples;
           predicted = predict involved;
           scaled_bus;
         })
-      (Figure2.chunks runs samples)
+      (Sweep.grid ~jobs ~runs cells trial)
   in
   { fit; points }
 

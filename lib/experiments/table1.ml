@@ -42,11 +42,12 @@ let cell_of_report (r : Workloads.Driver.report) =
       List.fold_left ( +. ) 0.0 ke +. List.fold_left ( +. ) 0.0 ue;
   }
 
-(* The four cells are independent runs on fresh machines (the seed comes
-   from [params], not from shared state), so they fan out through the
-   domain pool; order preservation keeps the destructuring stable. *)
-let run ?(jobs = 1) ?(scale = 100) ?(params = Sim.Params.production) () =
-  let with_lazy v = { params with Sim.Params.lazy_check = v } in
+(* The four cells are independent runs on fresh production machines (the
+   seed comes from the parameters, not from shared state), so they fan out
+   through the domain pool; order preservation keeps the destructuring
+   stable. *)
+let run ?(jobs = 1) ?(scale = 100) () =
+  let with_lazy v = { Sim.Params.production with Sim.Params.lazy_check = v } in
   let cell (app, lazy_on) =
     cell_of_report
       (match app with

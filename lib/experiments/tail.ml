@@ -48,55 +48,11 @@ type t = {
   all_consistent : bool;
 }
 
-(* One (k children, run r) trial: figure2's trial with a recorder
-   attached.  Same seed formula, fresh machine, fresh recorder; the
-   recorder (with its timeline) is returned for the per-point ordered
-   merge. *)
 (* Rounds per trial beyond the tester's final reprotect: the churn phase
    deallocates this many main-thread-owned pages, each a complete
    k-responder round, so a point's top-K is a real slice of a real round
    population instead of the whole of it. *)
 let churn_rounds = 12
-
-let trial ~params ~top_k ~window (k, r) =
-  let seed = Int64.of_int ((1000 * k) + r + 1) in
-  let params = { params with Sim.Params.seed } in
-  let machine = Vm.Machine.create ~params () in
-  let flight = Flight.create ~top_k ~ncpus:params.Sim.Params.ncpus () in
-  Flight.set_timeline flight (Some (Timeline.create ~window ()));
-  Vm.Machine.attach_flight machine flight;
-  let res = Workloads.Tlb_tester.run ~churn_rounds machine ~children:k () in
-  ( res.Workloads.Tlb_tester.initiator_elapsed,
-    res.Workloads.Tlb_tester.consistent,
-    flight )
-
-let frac num den = if den > 0.0 then num /. den else 0.0
-
-let make_point ~cpus trials =
-  let samples = List.map (fun (e, _, _) -> e) trials in
-  let merged =
-    match trials with
-    | [] -> invalid_arg "Tail.make_point: empty point"
-    | (_, _, first) :: rest ->
-        (* ordered merge: run 0 first, then 1, ... — deterministic at any
-           job count, like Profile.merge *)
-        List.iter (fun (_, _, f) -> Flight.merge ~into:first f) rest;
-        first
-  in
-  let attributed = Flight.attributed_total merged in
-  {
-    cpus;
-    mean_elapsed = Stats.mean samples;
-    rounds = Flight.rounds merged;
-    ipis = Flight.ipis merged;
-    retries = Flight.retries merged;
-    unattributed = Flight.unattributed merged;
-    ack_share = frac (Flight.phase_total merged Flight.Ack_wait) attributed;
-    setup_share = frac (Flight.phase_total merged Flight.Setup) attributed;
-    dominant = Flight.dominant_phase merged;
-    tail_dominant = Flight.tail_dominant merged;
-    flight = merged;
-  }
 
 (* The sweep's machine configuration: the *production* machine —
    background device interrupts and kernel spl sections, the load the
@@ -128,29 +84,47 @@ let default_params =
     device_intr_service = 450.0;
   }
 
+(* Figure 2's sweep in churn mode with a fresh flight recorder (and its
+   timeline) on every trial; a point's recorders merge in run order. *)
 let run ?(jobs = 1) ?(max_procs = 15) ?(runs_per_point = 10)
-    ?(top_k = Flight.default_top_k) ?(window = Timeline.default_window)
-    ?(params = default_params) () =
-  let trial_inputs =
-    List.concat_map
-      (fun i ->
-        let k = i + 1 in
-        List.init runs_per_point (fun r -> (k, r)))
-      (List.init max_procs Fun.id)
+    ?(top_k = Flight.default_top_k) ?(window = Timeline.default_window) () =
+  let params = default_params in
+  let grid =
+    Sweep.grid ~jobs ~runs:runs_per_point (Sweep.procs max_procs)
+      (fun (k, r) ->
+        let flight = Flight.create ~top_k ~ncpus:params.Sim.Params.ncpus () in
+        Flight.set_timeline flight (Some (Timeline.create ~window ()));
+        let res, _ =
+          Sweep.tester ~churn_rounds ~params ~recorder:(Sweep.Recorded flight)
+            ~children:k (Sweep.seed k r)
+        in
+        (res, flight))
   in
-  let results =
-    Sim.Domain_pool.map_trials ~jobs (trial ~params ~top_k ~window)
-      trial_inputs
+  let point (k, trials) =
+    let merged = Sweep.merge Flight.merge (List.map snd trials) in
+    let attributed = Flight.attributed_total merged in
+    let share ph = Sweep.frac (Flight.phase_total merged ph) attributed in
+    {
+      cpus = k + 1;
+      mean_elapsed = Stats.mean (Sweep.elapsed trials);
+      rounds = Flight.rounds merged;
+      ipis = Flight.ipis merged;
+      retries = Flight.retries merged;
+      unattributed = Flight.unattributed merged;
+      ack_share = share Flight.Ack_wait;
+      setup_share = share Flight.Setup;
+      dominant = Flight.dominant_phase merged;
+      tail_dominant = Flight.tail_dominant merged;
+      flight = merged;
+    }
   in
-  let all_consistent = List.for_all (fun (_, c, _) -> c) results in
-  let points =
-    List.mapi
-      (fun i per_point -> make_point ~cpus:(i + 2) per_point)
-      (Figure2.chunks runs_per_point results)
-  in
-  { points; runs_per_point; top_k; window; all_consistent }
-
-let find_point t ~cpus = List.find_opt (fun p -> p.cpus = cpus) t.points
+  {
+    points = List.map point grid;
+    runs_per_point;
+    top_k;
+    window;
+    all_consistent = Sweep.all_consistent grid;
+  }
 
 (* The CI gate: every recorded round's blame sums exactly to its latency
    (no unattributed time anywhere), every run kept the TLBs consistent,
@@ -161,11 +135,11 @@ let gate_holds ?(lo = 4) ?(hi = 16) t =
   t.all_consistent
   && List.for_all (fun p -> p.unattributed = 0) t.points
   &&
-  match (find_point t ~cpus:lo, find_point t ~cpus:hi) with
-  | Some a, Some b ->
+  match Sweep.bracket (fun p -> p.cpus) ~lo ~hi t.points with
+  | Some (a, b) ->
       b.tail_dominant = Some Flight.Ack_wait
       && a.tail_dominant <> Some Flight.Ack_wait
-  | _ -> false
+  | None -> false
 
 let phase_opt_json = function
   | Some p -> Json.Str (Flight.phase_name p)
@@ -194,8 +168,8 @@ let point_json p =
 
 let to_json ?(lo = 4) ?(hi = 16) t =
   let gate =
-    match (find_point t ~cpus:lo, find_point t ~cpus:hi) with
-    | Some a, Some b ->
+    match Sweep.bracket (fun p -> p.cpus) ~lo ~hi t.points with
+    | Some (a, b) ->
         Json.Obj
           [
             ("lo_cpus", Json.Int lo);
@@ -209,12 +183,12 @@ let to_json ?(lo = 4) ?(hi = 16) t =
             ("all_consistent", Json.Bool t.all_consistent);
             ("holds", Json.Bool (gate_holds ~lo ~hi t));
           ]
-    | _ -> Json.Null
+    | None -> Json.Null
   in
   (* the hi point carries the interesting tail: its full flight report
      (top-K records with blame + critical path) and its timeline *)
   let hi_detail =
-    match find_point t ~cpus:hi with
+    match Sweep.at (fun p -> p.cpus) hi t.points with
     | None -> []
     | Some p ->
         ("flight", Flight.to_json p.flight)
@@ -288,20 +262,11 @@ let render ?(lo = 4) ?(hi = 16) t =
     t.points;
   Buffer.add_string buf (Tablefmt.render table);
   (* bar plot of the ack-wait blame share: the shift made visible *)
-  let width = 48 in
-  let maxv =
-    List.fold_left (fun m p -> Float.max m p.ack_share) 1e-9 t.points
-  in
-  Buffer.add_string buf "\nack-wait share of attributed round time:\n";
-  List.iter
-    (fun p ->
-      let bar = int_of_float (p.ack_share /. maxv *. float_of_int width) in
-      Buffer.add_string buf
-        (Printf.sprintf "%2d %s %5.1f%%\n" p.cpus (String.make bar '#')
-           (100.0 *. p.ack_share)))
-    t.points;
+  Buffer.add_string buf
+    (Sweep.share_bars "ack-wait share of attributed round time"
+       (List.map (fun p -> (p.cpus, p.ack_share)) t.points));
   (* the hi point's slowest rounds, with their critical paths *)
-  (match find_point t ~cpus:hi with
+  (match Sweep.at (fun p -> p.cpus) hi t.points with
   | None -> ()
   | Some p ->
       Buffer.add_string buf

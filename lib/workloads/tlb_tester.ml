@@ -25,13 +25,18 @@ type result = {
   violations : int; (* counters that advanced after reprotection *)
 }
 
-(* How long the children get to warm up their TLB entries before the
-   reprotect fires (simulated us).  Overridable for the 1024-CPU scale
-   sweeps, where hundreds of children need longer to all announce. *)
-let warmup_time = 3_000.0
+(* Simulated us: how long the children hammer the page with warm TLB
+   entries before the reprotect; the grace period after it; and the
+   spacing of churn-phase unmaps.  With working consistency every child
+   is dead long before the grace period ends; with consistency disabled
+   the children keep incrementing through their stale entries, and the
+   grace period is what lets the tester observe the violation and still
+   halt. *)
+let warmup = 3_000.0
+let grace = 2_000.0
+let churn_gap = 150.0
 
-let run ?(pages = 1) ?(churn_rounds = 0) ?(churn_gap = 150.0)
-    ?(warmup = warmup_time) ?grace (machine : Machine.t) ~children () =
+let run ?(pages = 1) ?(churn_rounds = 0) (machine : Machine.t) ~children () =
   let vms = machine.Machine.vms in
   let sched = machine.Machine.sched in
   let xpr = machine.Machine.xpr in
@@ -83,11 +88,6 @@ let run ?(pages = 1) ?(churn_rounds = 0) ?(churn_gap = 150.0)
       let started_cv = Sim.Sync.create_condvar "tester-started-cv" in
       let running = ref 0 in
       let stop = ref false in
-      (* Post-reprotect grace period: with working consistency every child
-         is dead long before it expires; with consistency disabled the
-         children keep incrementing through their stale entries and this
-         is what lets the tester observe the violation and still halt. *)
-      let grace_time = match grace with Some g -> g | None -> 2_000.0 in
       let dead = Array.make children false in
       let threads =
         List.init children (fun i ->
@@ -173,7 +173,7 @@ let run ?(pages = 1) ?(churn_rounds = 0) ?(churn_gap = 150.0)
       let saved = Array.init children read_counter in
       (* Give stale entries time to do damage, then halt any survivors
          (with working consistency they are already dead of write faults). *)
-      Sim.Sched.sleep sched self grace_time;
+      Sim.Sched.sleep sched self grace;
       stop := true;
       List.iter (fun th -> Sim.Sched.join sched self th) threads;
       let final = Array.init children read_counter in
@@ -209,7 +209,7 @@ let run ?(pages = 1) ?(churn_rounds = 0) ?(churn_gap = 150.0)
 
 (* Fresh machine per run, as the experiments require. *)
 let run_fresh ?(params = Sim.Params.default) ?(pages = 1) ?churn_rounds
-    ?churn_gap ?warmup ?grace ~children ~seed () =
+    ~children ~seed () =
   let params = { params with seed } in
   let machine = Machine.create ~params () in
-  run ~pages ?churn_rounds ?churn_gap ?warmup ?grace machine ~children ()
+  run ~pages ?churn_rounds machine ~children ()

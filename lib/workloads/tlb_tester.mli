@@ -15,40 +15,30 @@ type result = {
   violations : int; (** counters that advanced after reprotection *)
 }
 
-val warmup_time : float
-
 val run :
   ?pages:int ->
   ?churn_rounds:int ->
-  ?churn_gap:float ->
-  ?warmup:float ->
-  ?grace:float ->
   Vm.Machine.t ->
   children:int ->
   unit ->
   result
-(** Run the tester on a freshly booted machine (consumes it).  [warmup]
-    (default {!warmup_time}) is how long the children hammer the page
-    before the reprotect; [grace] (default 2000 us) how long stale
-    entries get to do damage afterwards.  The 1024-CPU scale sweeps
-    raise both.
+(** Run the tester on a freshly booted machine (consumes it).  The
+    children hammer the page for 3000 us before the reprotect, and stale
+    entries get 2000 us to do damage afterwards.
 
     [churn_rounds] (default 0) adds a churn phase between warmup and
     reprotect: that many main-thread-touched throwaway pages are
-    deallocated one at a time, [churn_gap] us apart (default 150), each
-    unmap a complete k-responder shootdown round.  The tail-attribution
-    sweep (experiments/tail) uses this to give each trial a real
-    population of rounds; with the default 0 the run is event-for-event
-    the historical single-round tester.
+    deallocated one at a time, 150 us apart, each unmap a complete
+    k-responder shootdown round.  The tail-attribution sweep
+    (experiments/tail) uses this to give each trial a real population of
+    rounds; with the default 0 the run is event-for-event the historical
+    single-round tester.
     @raise Invalid_argument if [children >= ncpus]. *)
 
 val run_fresh :
   ?params:Sim.Params.t ->
   ?pages:int ->
   ?churn_rounds:int ->
-  ?churn_gap:float ->
-  ?warmup:float ->
-  ?grace:float ->
   children:int ->
   seed:int64 ->
   unit ->

@@ -192,6 +192,36 @@ let figure2_identical_across_jobs =
       let seq = at 1 in
       List.for_all (fun jobs -> at jobs = seq) [ 2; 4 ])
 
+(* The grid every experiment sweep runs on: each point gets its runs in
+   run order at any job count, under skewed trial costs, and a point
+   without runs is refused. *)
+let grid_identical_across_jobs =
+  QCheck.Test.make ~name:"Sweep.grid keeps run order at jobs in {1,2,4}"
+    ~count:25
+    QCheck.(pair (int_range 0 6) (int_range 1 5))
+    (fun (npoints, runs) ->
+      let npoints = max 0 (min 6 npoints) and runs = max 1 (min 5 runs) in
+      let points = List.init npoints (fun i -> 100 * i) in
+      let trial (p, r) =
+        let spin = ref 0 in
+        for _ = 1 to (p + r) mod 7 * 1000 do
+          incr spin
+        done;
+        ignore !spin;
+        p + r
+      in
+      let expected =
+        List.map (fun p -> (p, List.init runs (fun r -> p + r))) points
+      in
+      List.for_all
+        (fun jobs -> Experiments.Sweep.grid ~jobs ~runs points trial = expected)
+        [ 1; 2; 4 ])
+
+let test_grid_rejects_no_runs () =
+  Alcotest.check_raises "runs=0 rejected"
+    (Invalid_argument "Sweep.grid: runs must be >= 1") (fun () ->
+      ignore (Experiments.Sweep.grid ~jobs:1 ~runs:0 [ 1 ] (fun _ -> ())))
+
 let () =
   Alcotest.run "parallel"
     [
@@ -215,5 +245,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest pool_identical_across_jobs;
           QCheck_alcotest.to_alcotest figure2_identical_across_jobs;
+          QCheck_alcotest.to_alcotest grid_identical_across_jobs;
+          Alcotest.test_case "Sweep.grid rejects runs < 1" `Quick
+            test_grid_rejects_no_runs;
         ] );
     ]
