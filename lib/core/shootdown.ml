@@ -235,12 +235,16 @@ let responder ctx (cpu : Sim.Cpu.t) =
       ~arg1:(if !touched_kernel then 1 else 0)
       ~farg:elapsed ()
 
+(* Whether [idle_check] has queued actions to execute on this CPU; while
+   it has none, [idle_check] does nothing. *)
+let idle_pending ctx (cpu : Sim.Cpu.t) = ctx.Pmap.action_needed.(Sim.Cpu.id cpu)
+
 (* Idle processors are not interrupted, but must execute queued actions
    before (re)joining the active set; the scheduler's idle loop calls this
    before dispatching a thread. *)
 let idle_check ctx (cpu : Sim.Cpu.t) =
   let id = Sim.Cpu.id cpu in
-  if ctx.Pmap.action_needed.(id) then begin
+  if idle_pending ctx cpu then begin
     let saved = Sim.Cpu.set_ipl cpu Sim.Interrupt.ipl_high in
     while ctx.Pmap.action_needed.(id) do
       cpu.Sim.Cpu.note <- "idle-check-spin";

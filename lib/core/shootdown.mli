@@ -66,6 +66,11 @@ val idle_check : Pmap.ctx -> Sim.Cpu.t -> unit
 (** Idle processors are never interrupted but must drain queued actions
     before becoming active; the scheduler's idle loop calls this. *)
 
+val idle_pending : Pmap.ctx -> Sim.Cpu.t -> bool
+(** {!idle_check} has queued actions to execute on this CPU.  While it
+    has none, {!idle_check} does nothing: the scheduler's idle re-park
+    relies on it ([Sim.Sched.actions_queued]). *)
+
 val install : Pmap.ctx -> unit
 (** Wire {!responder} into every CPU's shootdown-interrupt dispatch. *)
 

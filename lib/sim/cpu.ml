@@ -85,13 +85,26 @@ let raw_delay t cost =
 
 (* Advance time interruptibly: if an interrupt is posted mid-sleep, the
    sleep is cut short so the handler's latency is the dispatch cost, not
-   the remaining sleep.  This is the simulator's hottest path (every idle
-   CPU polls through it), so the suspend request is built once per CPU
-   and the duration travels through [acct.sleep_dt]. *)
+   the remaining sleep.  Every [step] slice sleeps through it, so the
+   suspend request is built once per CPU and the duration travels through
+   [acct.sleep_dt].  The idle loop parks through its own request, with
+   the poll-lane registration ([arm_poll]). *)
 let[@inline] interruptible_sleep t dt =
   t.acct.sleep_dt <- dt;
   Engine.suspend_with t.sleep;
   t.sleeper <- Engine.no_wakener
+
+(* The idle loop's interruptible sleep registration: record the wakener,
+   so that a posted interrupt cuts the sleep short, and arm the timer
+   that ends the sleep after [acct.sleep_dt], in the engine's poll lane. *)
+let arm_poll t w =
+  t.sleeper <- w;
+  Engine.poll_after t.eng t.acct.sleep_dt w
+
+let has_deliverable t =
+  match Interrupt.deliverable t.ctl ~ipl:t.ipl with
+  | Some _ -> true
+  | None -> false
 
 (* Interrupt nesting follows priority: inside a handler the IPL equals the
    handler's level, so only strictly higher-priority interrupts (e.g. the

@@ -71,6 +71,14 @@ val masked_service : t -> float -> unit
 (** Advance time at the current (raised) IPL, admitting strictly
     higher-priority interrupts at short intervals. *)
 
+val arm_poll : t -> Engine.wakener -> unit
+(** The idle loop's interruptible sleep registration: make the wakener
+    the CPU's [sleeper] (so a posted interrupt cuts the sleep short) and
+    arm its wake after [acct.sleep_dt] with [Engine.poll_after]. *)
+
+val has_deliverable : t -> bool
+(** An interrupt is pending above the CPU's current IPL. *)
+
 val spin_poll : t -> unit
 (** One busy-wait iteration; takes interrupts if unmasked. *)
 

@@ -6,20 +6,41 @@
    other coroutine wakes it.  Running the simulation is popping events in
    (time, seq) order until nothing is pending or a time limit is reached.
 
-   The pending events live in two queues.  The heap holds every event for
-   a later instant.  The same-instant lane, a FIFO ring, holds every event
-   whose (clamped) time equals [now] when it is pushed: about half of all
-   events, mostly the wake that resumes a CPU whose sleep timer fired.  A
-   pop takes a heap entry due at [now] first, then the lane's head, then
-   the heap's next (later) entry.  That is exactly (time, seq) order.  The
-   lane's entries all sit at [now], in push order, so in seq order.  A
-   heap entry due at [now] was pushed before the clock reached [now] (once
-   it had, the push would have gone to the lane), so its seq is smaller
-   than every lane entry's.  The clock moves only by popping the heap's
-   next entry, which happens only once the lane is empty, so the lane
-   never holds an instant earlier than [now].  Same-instant events thus
-   skip the heap's sift-up and sift-down, and the event stream is the
-   one a heap alone would give.
+   The pending events live in three queues.  The heap holds every event
+   for a later instant, poll timers aside.  The same-instant lane, a FIFO
+   ring, holds every event whose (clamped) time equals [now] when it is
+   pushed: mostly the wake that resumes a CPU whose sleep timer fired.
+   The poll lane, a second FIFO ring, holds the idle loops' poll timers
+   ({!poll_after}), which were most of the heap's traffic: each is
+   appended when it is due after [now] and no earlier than the lane's
+   tail, and goes to the heap otherwise.  Every idle loop polls with the
+   same period, so in practice every poll timer is appended.
+
+   A pop takes the earlier of the heap's root and the poll lane's head,
+   by (time, seq), if that one is due at [now]; otherwise the same-instant
+   lane's head; otherwise that earlier entry.  That is exactly (time, seq)
+   order:
+   - The same-instant lane's entries all sit at [now], in push order, so
+     in seq order.
+   - The poll lane's entries arrive in (time, seq) order: each one is
+     due no earlier than the one before it, and seqs only grow.  So its
+     head is its least entry, and the lesser of two heads is the least
+     of both queues.
+   - A heap or poll entry due at [now] was pushed before the clock reached
+     [now] (once it had, the push would have gone to the same-instant
+     lane), so its seq is smaller than every same-instant entry's.
+   - The clock moves only by popping a heap or poll entry, which happens
+     only once the same-instant lane is empty, so that lane never holds
+     an instant earlier than [now].
+   Same-instant events and polls thus skip the heap's sift-up and
+   sift-down, and the event stream is the one a heap alone would give.
+
+   An idle loop that parks through {!idle_suspension} leaves the engine a
+   [quiet] predicate.  When its wake is dispatched and the predicate says
+   the loop's next iteration would find nothing to do, the engine makes
+   that iteration's writes and re-parks the loop on a fresh wakener with
+   the same continuation: the wake event is counted as ever, and the
+   continue and perform pair is skipped.
 
    Per-label event accounting goes through Instrument.Metrics counters.
    The counter handle is resolved when the event is *scheduled* — the
@@ -38,11 +59,14 @@
    remembered-set entry per store, which costs more than letting the
    minor collector reclaim dead three-word cells for free. *)
 
-(* The same-instant lane: a growable FIFO ring of (seq, shard, payload)
-   entries, all due at the engine's current instant. *)
+(* A FIFO ring of (seq, shard, payload) entries, growable, pushed in
+   (time, seq) order so the head is always the least.  The engine keeps
+   two.  The same-instant lane's entries all sit at [now], so it stores no
+   times.  The poll lane is timed: it also stores each entry's time. *)
 module Lane = struct
   type 'a t = {
     mutable evs : 'a array;
+    mutable times : float array; (* empty unless the ring is timed *)
     mutable seqs : int array;
     mutable shards : int array;
     mutable head : int; (* index of the oldest entry *)
@@ -50,13 +74,13 @@ module Lane = struct
     dummy : 'a;
   }
 
-  let initial_capacity = 64 (* a power of two: indices wrap with a mask *)
-
-  let create dummy =
+  (* [capacity] is a power of two: indices wrap with a mask. *)
+  let create ?(timed = false) ~capacity dummy =
     {
-      evs = Array.make initial_capacity dummy;
-      seqs = Array.make initial_capacity 0;
-      shards = Array.make initial_capacity 0;
+      evs = Array.make capacity dummy;
+      times = (if timed then Array.make capacity 0.0 else [||]);
+      seqs = Array.make capacity 0;
+      shards = Array.make capacity 0;
       head = 0;
       len = 0;
       dummy;
@@ -67,18 +91,18 @@ module Lane = struct
   (* Double the ring, unrolling it so the oldest entry lands at index 0. *)
   let grow q =
     let n = Array.length q.evs in
-    let evs = Array.make (2 * n) q.dummy in
-    let seqs = Array.make (2 * n) 0 in
-    let shards = Array.make (2 * n) 0 in
-    for j = 0 to q.len - 1 do
-      let i = slot q j in
-      evs.(j) <- q.evs.(i);
-      seqs.(j) <- q.seqs.(i);
-      shards.(j) <- q.shards.(i)
-    done;
-    q.evs <- evs;
-    q.seqs <- seqs;
-    q.shards <- shards;
+    let unroll a fill =
+      let b = Array.make (2 * n) fill in
+      for j = 0 to q.len - 1 do
+        b.(j) <- a.(slot q j)
+      done;
+      b
+    in
+    if Array.length q.times > 0 then q.times <- unroll q.times 0.0;
+    q.seqs <- unroll q.seqs 0;
+    q.shards <- unroll q.shards 0;
+    (* last: [slot] wraps with the length of [evs] *)
+    q.evs <- unroll q.evs q.dummy;
     q.head <- 0
 
   let push q ~shard seq ev =
@@ -89,7 +113,18 @@ module Lane = struct
     q.shards.(i) <- shard;
     q.len <- q.len + 1
 
+  (* A timed ring's push; [time] must be at or after the tail's. *)
+  let push_timed q ~shard time seq ev =
+    if q.len = Array.length q.evs then grow q;
+    q.times.(slot q q.len) <- time;
+    push q ~shard seq ev
+
+  (* The head's key and shard, the tail's time; the ring must be
+     non-empty, and timed for a time. *)
+  let[@inline] head_time q = q.times.(q.head)
+  let[@inline] head_seq q = q.seqs.(q.head)
   let[@inline] head_shard q = q.shards.(q.head)
+  let[@inline] tail_time q = q.times.(slot q (q.len - 1))
 
   (* Remove the oldest entry and return its payload; the ring must be
      non-empty. *)
@@ -101,12 +136,16 @@ module Lane = struct
     q.len <- q.len - 1;
     ev
 
-  (* Oldest first, i.e. in seq order. *)
+  (* Oldest first, i.e. in (time, seq) order. *)
   let iter f q =
     for j = 0 to q.len - 1 do
       let i = slot q j in
       f q.seqs.(i) q.shards.(i) q.evs.(i)
     done
+
+  (* The [j]th oldest entry's time and payload. *)
+  let time_at q j = q.times.(slot q j)
+  let ev_at q j = q.evs.(slot q j)
 
   let clear q =
     for j = 0 to q.len - 1 do
@@ -145,14 +184,26 @@ let () =
 
 type wakener = {
   mutable fired : bool;
-  mutable cont : (unit, unit) Effect.Deep.continuation option;
-      (* the parked coroutine; taken (set to None) when the wake fires *)
+  mutable cont : parked;
+      (* the parked coroutine; taken (set to [Gone]) when the wake fires *)
   wshard : int; (* event-heap shard the parked coroutine resumes on *)
+}
+
+and parked =
+  | Gone (* nothing to resume: taken, or never parked *)
+  | Cont of (unit, unit) Effect.Deep.continuation
+  | Idle of (unit, unit) Effect.Deep.continuation * idle
+      (* an idle loop, which the engine may re-park instead of resuming *)
+
+and idle = {
+  quiet : unit -> bool; (* the loop's next iteration would do nothing *)
+  settle : unit -> unit; (* that iteration's writes before it parks *)
+  park : wakener -> unit; (* the park's registration *)
 }
 
 (* Pre-fired sentinel: waking it is a no-op.  Never mutated (fired stays
    true), so sharing it across engines — and domains — is safe. *)
-let no_wakener = { fired = true; cont = None; wshard = 0 }
+let no_wakener = { fired = true; cont = Gone; wshard = 0 }
 
 (* One scheduled event.  The counter comes first in every arm so [step]
    can increment it with a single or-pattern match. *)
@@ -163,11 +214,14 @@ type ev =
       (* timer expiry: wake the wakener (no-op if already woken) *)
   | Ev_resume of
       Instrument.Metrics.counter * (unit, unit) Effect.Deep.continuation
-      (* resume a parked coroutine (wake delivery, delay expiry) *)
+      (* delay expiry: resume the coroutine *)
+  | Ev_wake of Instrument.Metrics.counter * parked
+      (* wake delivery: resume the parked coroutine, or re-park it *)
 
 type _ Effect.t +=
   | Delay : float -> unit Effect.t
   | Suspend : (wakener -> unit) -> unit Effect.t
+  | Suspend_idle : idle -> unit Effect.t
 
 type t = {
   mutable now : float;
@@ -175,8 +229,9 @@ type t = {
   mutable events : int; (* total processed, for runaway detection *)
   mutable events_flushed : int; (* portion already added to the global *)
   mutable max_events : int;
-  heap : ev Heap.t; (* events for later instants *)
+  heap : ev Heap.t; (* events for later instants, polls aside *)
   lane : ev Lane.t; (* events for the current instant, in seq order *)
+  polls : ev Lane.t; (* idle poll timers, about one per CPU *)
   mutable cur_shard : int;
       (* shard of the event being executed; events it schedules inherit
          it, so a coroutine's activity stays on its home shard *)
@@ -219,7 +274,8 @@ let create ?(seed = 0x5EEDL) ?(max_events = 200_000_000) ?(shards = 1) () =
     events_flushed = 0;
     max_events;
     heap = Heap.create ~shards ~dummy ();
-    lane = Lane.create dummy;
+    lane = Lane.create ~capacity:64 dummy;
+    polls = Lane.create ~timed:true ~capacity:16 dummy;
     cur_shard = 0;
     prng = Prng.create seed;
     live = 0;
@@ -237,12 +293,12 @@ let now t = t.now
 let prng t = t.prng
 let live t = t.live
 let events_processed t = t.events
-let pending t = Heap.length t.heap + t.lane.len
+let pending t = Heap.length t.heap + t.lane.len + t.polls.len
 let shards t = Heap.shards t.heap
 
 (* All schedule paths funnel through here so (time clamp, seq assignment,
    queue order) are identical whatever the event shape.  A time at or
-   before [now] is clamped to [now], which is the lane. *)
+   before [now] is clamped to [now], which is the same-instant lane. *)
 let[@inline] push_ev t ~shard time ev =
   t.seq <- t.seq + 1;
   if time <= t.now then Lane.push t.lane ~shard t.seq ev
@@ -284,17 +340,18 @@ let suspend register = Effect.perform (Suspend register)
 type suspension = unit Effect.t
 
 let suspension register = Suspend register
+let idle_suspension idle = Suspend_idle idle
 let suspend_with s = Effect.perform s
 
 let wake t w =
   if not w.fired then begin
     w.fired <- true;
     match w.cont with
-    | Some k ->
-        w.cont <- None;
+    | Gone -> ()
+    | (Cont _ | Idle _) as c ->
+        w.cont <- Gone;
         (* resume on the parkee's home shard, not the waker's *)
-        push_ev t ~shard:w.wshard t.now (Ev_resume (t.c_wake, k))
-    | None -> ()
+        push_ev t ~shard:w.wshard t.now (Ev_wake (t.c_wake, c))
   end
 
 (* Timer-driven wake: schedules an event that, when it pops, wakes [w]
@@ -302,6 +359,18 @@ let wake t w =
    [after t dt (fun () -> wake t w)] without the closure. *)
 let wake_after t dt w =
   push_ev t ~shard:t.cur_shard (t.now +. dt) (Ev_timer (t.c_after, w))
+
+(* [wake_after] through the poll lane, when the order allows it: a timer
+   due after [now] and no earlier than the lane's tail keeps the lane in
+   (time, seq) order.  Any other goes where [wake_after] would put it. *)
+let poll_after t dt w =
+  let time = t.now +. dt in
+  let p = t.polls in
+  if time > t.now && (p.len = 0 || time >= Lane.tail_time p) then begin
+    t.seq <- t.seq + 1;
+    Lane.push_timed p ~shard:t.cur_shard time t.seq (Ev_timer (t.c_after, w))
+  end
+  else wake_after t dt w
 
 (* Argument slot of a fiber's [Delay] handler: a float-only record, so the
    duration is stored unboxed. *)
@@ -315,7 +384,10 @@ let spawn t ?(name = "coroutine") ?shard fn =
   (* One handler per effect per fiber: [effc] leaves the effect's argument
      in a slot and returns the fiber's shared handler, so a perform
      allocates no closure.  The runtime applies the handler as soon as
-     [effc] returns, so a slot is never read after a later overwrite. *)
+     [effc] returns, so a slot is never read after a later overwrite.
+     [Suspend_idle] is the exception: an idle loop performs it only after
+     a real resume, which quiet polls never get, so its closure is not
+     worth a slot. *)
   let delay_arg = { dt = 0.0 } in
   let suspend_arg = ref ignore in
   let on_delay =
@@ -327,7 +399,7 @@ let spawn t ?(name = "coroutine") ?shard fn =
   let on_suspend =
     Some
       (fun (k : (unit, unit) continuation) ->
-        !suspend_arg { fired = false; cont = Some k; wshard = t.cur_shard })
+        !suspend_arg { fired = false; cont = Cont k; wshard = t.cur_shard })
   in
   let fiber () =
     match_with fn ()
@@ -353,18 +425,57 @@ let spawn t ?(name = "coroutine") ?shard fn =
             | Suspend register ->
                 suspend_arg := register;
                 on_suspend
+            | Suspend_idle idle ->
+                Some
+                  (fun (k : (unit, unit) continuation) ->
+                    idle.park
+                      {
+                        fired = false;
+                        cont = Idle (k, idle);
+                        wshard = t.cur_shard;
+                      })
             | _ -> None);
       }
   in
   schedule_on t ~shard t.c_spawn t.now fiber
 
+(* Deliver a wake.  A quiet idle loop is re-parked where it stands: its
+   settle and park make the writes, and arm the timer, that resuming it
+   would have made before it parked again, so the event stream and the
+   seqs are the same; the wakener is fresh, so a stale timer or poke on
+   the old one stays a no-op. *)
+let resume t = function
+  | Cont k -> Effect.Deep.continue k ()
+  | Idle (k, idle) as c ->
+      if idle.quiet () then begin
+        idle.settle ();
+        idle.park { fired = false; cont = c; wshard = t.cur_shard }
+      end
+      else Effect.Deep.continue k ()
+  | Gone -> ()
+
 let[@inline] counter_of_ev = function
-  | Ev_thunk (c, _) | Ev_timer (c, _) | Ev_resume (c, _) -> c
+  | Ev_thunk (c, _) | Ev_timer (c, _) | Ev_resume (c, _) | Ev_wake (c, _) -> c
+
+(* Whether the heap's root, in shard [k] ([-1] if the heap is empty),
+   precedes the poll lane's head in (time, seq) order; false if the heap
+   is empty, true if only the poll lane is. *)
+let[@inline] heap_first t k =
+  k >= 0
+  && (t.polls.len = 0
+     ||
+     let ht = Heap.root_time t.heap k and pt = Lane.head_time t.polls in
+     ht < pt || (ht = pt && Heap.root_seq t.heap k < Lane.head_seq t.polls))
+
+(* Time of the earlier of the heap's root and the poll lane's head; one of
+   them must be non-empty. *)
+let[@inline] next_time t k =
+  if heap_first t k then Heap.root_time t.heap k else Lane.head_time t.polls
 
 (* Pending events as (delay-from-now, schedule label) pairs, sorted.
    Part of the model checker's state fingerprint: together with the
    machine snapshot, the scheduled future determines the rest of a run
-   up to the remaining choice points.  Lane entries are due now. *)
+   up to the remaining choice points.  Same-instant entries are due now. *)
 let pending_summary t =
   let acc = ref [] in
   let add delta ev =
@@ -372,17 +483,21 @@ let pending_summary t =
     acc := (delta, label) :: !acc
   in
   Heap.iter_entries (fun time _seq ev -> add (time -. t.now) ev) t.heap;
+  for j = 0 to t.polls.len - 1 do
+    add (Lane.time_at t.polls j -. t.now) (Lane.ev_at t.polls j)
+  done;
   Lane.iter (fun _seq _shard ev -> add 0.0 ev) t.lane;
   List.sort compare !acc
 
 (* Controlled pop under an attached explorer: collect every event tied
    at the next instant, offer the explorer a choice among the *live*
-   ones, and return the losers to the lane.  The ties are the heap's
-   entries at that instant, then the lane's (when the lane is non-empty
-   the instant is [now]), which is (time, seq) order: FIFO is
-   alternative 0.  The losers stay due at that instant, which is [now]
-   once the clock is set, so they go back to the lane in seq order.  The
-   clock moves only after the choice: the fingerprints the explorer takes
+   ones, and return the losers to the same-instant lane.  The ties are
+   the heap's and the poll lane's entries at that instant, merged by
+   seq, then the same-instant lane's (when that lane is non-empty the
+   instant is [now]), which is (time, seq) order: FIFO is alternative 0.
+   The losers stay due at that instant, which is [now] once the clock is
+   set, so they go back to the same-instant lane in seq order.  The clock
+   moves only after the choice: the fingerprints the explorer takes
    inside [choose] measure pending delays from the instant before.
 
    An expired timer whose wakener already fired is a pure no-op —
@@ -391,15 +506,23 @@ let pending_summary t =
    harness's cheapest partial-order reduction) and only run, in FIFO
    order, when nothing live shares the instant. *)
 let pop_controlled t ex k =
-  let h = t.heap in
-  let time = if t.lane.len > 0 then t.now else Heap.root_time h k in
+  let h = t.heap and p = t.polls in
+  let time = if t.lane.len > 0 then t.now else next_time t k in
   let ties = ref [] in
   let k = ref k in
-  while !k >= 0 && Heap.root_time h !k = time do
-    let shard = !k in
-    let seq = Heap.root_seq h shard in
-    ties := (shard, seq, Heap.pop_shard h shard) :: !ties;
-    k := Heap.min_shard h
+  let more = ref true in
+  while !more do
+    if heap_first t !k && Heap.root_time h !k = time then begin
+      let shard = !k in
+      let seq = Heap.root_seq h shard in
+      ties := (shard, seq, Heap.pop_shard h shard) :: !ties;
+      k := Heap.min_shard h
+    end
+    else if p.len > 0 && Lane.head_time p = time then begin
+      let shard = Lane.head_shard p and seq = Lane.head_seq p in
+      ties := (shard, seq, Lane.pop p) :: !ties
+    end
+    else more := false
   done;
   Lane.iter (fun seq shard ev -> ties := (shard, seq, ev) :: !ties) t.lane;
   Lane.clear t.lane;
@@ -419,12 +542,12 @@ let pop_controlled t ex k =
         let c = Explore.choose ex Explore.Tie (List.length live) in
         List.nth live c
   in
+  t.cur_shard <- cshard;
+  t.now <- time;
   List.iter
     (fun (shard, seq, ev) ->
       if seq <> cseq then Lane.push t.lane ~shard seq ev)
     ties;
-  t.cur_shard <- cshard;
-  t.now <- time;
   cev
 
 (* Summarise what is still scheduled, by label, most frequent first: the
@@ -439,6 +562,7 @@ let runaway t ev =
   in
   count ev;
   Heap.iter_payloads count t.heap;
+  Lane.iter (fun _seq _shard ev -> count ev) t.polls;
   Lane.iter (fun _seq _shard ev -> count ev) t.lane;
   let pending =
     Hashtbl.fold (fun name n acc -> (name, n) :: acc) tally []
@@ -448,27 +572,41 @@ let runaway t ev =
   Runaway
     { runaway_at = t.now; runaway_events = t.events; runaway_pending = pending }
 
+(* Pop the next event.  Heap and poll entries are never earlier than
+   [now], so one due at [now] is the only kind that precedes the
+   same-instant lane's head. *)
+let pop t k =
+  let from_heap = heap_first t k in
+  if
+    t.lane.len > 0
+    &&
+    if from_heap then Heap.root_time t.heap k > t.now
+    else t.polls.len = 0 || Lane.head_time t.polls > t.now
+  then begin
+    t.cur_shard <- Lane.head_shard t.lane;
+    Lane.pop t.lane
+  end
+  else if from_heap then begin
+    let time = Heap.root_time t.heap k in
+    t.cur_shard <- k;
+    let ev = Heap.pop_shard t.heap k in
+    t.now <- time;
+    ev
+  end
+  else begin
+    let time = Lane.head_time t.polls in
+    t.cur_shard <- Lane.head_shard t.polls;
+    let ev = Lane.pop t.polls in
+    t.now <- time;
+    ev
+  end
+
 (* Pop and run the next event.  [k] is the heap's minimum shard, from the
-   caller's one root scan ([-1] if the heap is empty); the lane or the
-   heap must be non-empty.  Heap entries are never earlier than [now], so
-   one due at [now] is the only kind that precedes the lane's head. *)
+   caller's one root scan ([-1] if the heap is empty); some queue must be
+   non-empty. *)
 let dispatch t k =
-  let h = t.heap in
   let ev =
-    match t.explore with
-    | None ->
-        if k >= 0 && (t.lane.len = 0 || Heap.root_time h k <= t.now) then begin
-          let time = Heap.root_time h k in
-          t.cur_shard <- k;
-          let ev = Heap.pop_shard h k in
-          t.now <- time;
-          ev
-        end
-        else begin
-          t.cur_shard <- Lane.head_shard t.lane;
-          Lane.pop t.lane
-        end
-    | Some ex -> pop_controlled t ex k
+    match t.explore with None -> pop t k | Some ex -> pop_controlled t ex k
   in
   Instrument.Metrics.inc (counter_of_ev ev);
   t.events <- t.events + 1;
@@ -477,10 +615,11 @@ let dispatch t k =
   | Ev_thunk (_, thunk) -> thunk ()
   | Ev_timer (_, w) -> wake t w
   | Ev_resume (_, k) -> Effect.Deep.continue k ()
+  | Ev_wake (_, c) -> resume t c
 
 let step t =
   let k = Heap.min_shard t.heap in
-  if k < 0 && t.lane.len = 0 then false
+  if k < 0 && t.lane.len = 0 && t.polls.len = 0 then false
   else begin
     dispatch t k;
     true
@@ -498,10 +637,10 @@ let run_until t limit =
   let continue_ = ref true in
   while !continue_ do
     let k = Heap.min_shard t.heap in
-    (* lane entries are due now, so within the limit *)
+    (* same-instant entries are due now, so within the limit *)
     if t.lane.len > 0 then dispatch t k
-    else if k < 0 then continue_ := false
-    else if Heap.root_time t.heap k > limit then begin
+    else if k < 0 && t.polls.len = 0 then continue_ := false
+    else if next_time t k > limit then begin
       t.now <- limit;
       continue_ := false
     end

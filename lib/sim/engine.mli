@@ -113,6 +113,26 @@ val suspend_with : suspension -> unit
     allocating the request on every call — the interruptible-sleep hot
     path parks this way. *)
 
+type idle = {
+  quiet : unit -> bool;
+      (** the parked loop's next iteration would find nothing to do *)
+  settle : unit -> unit;
+      (** make that iteration's writes, up to where it parks again; must
+          perform no effect while [quiet] holds *)
+  park : wakener -> unit;
+      (** the park's registration: record the wakener, arm its wake *)
+}
+(** An idle loop's park, for {!idle_suspension}. *)
+
+val idle_suspension : idle -> suspension
+(** A suspend request whose registration is [idle.park].  When the wake
+    of a loop parked this way is dispatched and [idle.quiet ()] holds,
+    the engine runs [idle.settle] and [idle.park] on a fresh wakener
+    instead of resuming the loop: the iteration it skips would have made
+    the same writes and parked again.  The wake event is counted either
+    way.  A loop that parks this way must therefore run [settle] and
+    park again whenever it resumes with [quiet] true. *)
+
 val wake : t -> wakener -> unit
 (** Resume a parked coroutine at the current instant (idempotent). *)
 
@@ -121,6 +141,14 @@ val wake_after : t -> float -> wakener -> unit
     the allocation-free equivalent of
     [after t dt (fun () -> wake t w)] (same ["after"] event label, same
     event/sequence structure), used by the timer-sleep hot path. *)
+
+val poll_after : t -> float -> wakener -> unit
+(** {!wake_after} for an idle loop's poll timer: the same event at the
+    same seq, queued in a FIFO ring instead of the heap when it is due
+    no earlier than the ring's last entry (otherwise in the heap).  The
+    pop order is the same either way; a caller whose timers are due in
+    non-decreasing order, such as loops polling at one period, keeps
+    them all out of the heap. *)
 
 val no_wakener : wakener
 (** A pre-fired sentinel: {!wake} on it is a no-op.  Lets hot records

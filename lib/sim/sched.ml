@@ -66,6 +66,9 @@ type t = {
   mutable live_threads : int;
   mutable started_threads : int;
   mutable pre_dispatch : Cpu.t -> unit;
+  mutable actions_queued : Cpu.t -> bool;
+      (* [pre_dispatch] has queued work for this CPU; while it has none,
+         [pre_dispatch] must perform no effect *)
   mutable activate : thread -> Cpu.t -> unit;
   mutable deactivate : thread -> Cpu.t -> unit;
   mutable shutdown : bool;
@@ -85,6 +88,7 @@ let create eng cpus (params : Params.t) =
     live_threads = 0;
     started_threads = 0;
     pre_dispatch = (fun _ -> ());
+    actions_queued = (fun _ -> false);
     activate = (fun _ _ -> ());
     deactivate = (fun _ _ -> ());
     shutdown = false;
@@ -155,19 +159,18 @@ let next_thread t (cpu : Cpu.t) =
   else begin
     let k = Array.length t.cluster_ready in
     let mine = t.cluster_of_cpu.(Cpu.id cpu) in
-    let rec steal i =
-      if i >= k then None
-      else
-        let c = (mine + i) mod k in
-        let q = t.cluster_ready.(c) in
-        if not (Queue.is_empty q) then begin
-          let th = Queue.pop q in
-          th.home <- mine;
-          Some th
-        end
-        else steal (i + 1)
-    in
-    steal 0
+    let found = ref None in
+    let i = ref 0 in
+    while Option.is_none !found && !i < k do
+      let q = t.cluster_ready.((mine + !i) mod k) in
+      if not (Queue.is_empty q) then begin
+        let th = Queue.pop q in
+        th.home <- mine;
+        found := Some th
+      end;
+      incr i
+    done;
+    !found
   end
 
 let has_ready t (cpu : Cpu.t) =
@@ -180,11 +183,38 @@ let hand_cpu_back t (cpu : Cpu.t) =
   | Some w -> Engine.wake t.eng w
   | None -> ()
 
+(* The idle loop's next iteration would find nothing to do: no shutdown,
+   no deliverable interrupt, no ready thread, no queued consistency
+   action.  Such an iteration only writes (through [pre_dispatch], which
+   then performs no effect, and the park) and parks again, so the engine
+   may make those writes instead of resuming the loop. *)
+let quiet t (cpu : Cpu.t) =
+  (not t.shutdown)
+  && (not (Cpu.has_deliverable cpu))
+  && (not (has_ready t cpu))
+  && not (t.actions_queued cpu)
+
+(* The idle loop's park: nap [Params.idle_poll], interruptibly.  The
+   engine re-parks a quiet loop through [settle] and [park], without
+   resuming it (Engine.idle_suspension). *)
+let nap t (cpu : Cpu.t) =
+  Engine.idle_suspension
+    {
+      Engine.quiet = (fun () -> quiet t cpu);
+      settle = (fun () -> t.pre_dispatch cpu);
+      park =
+        (fun w ->
+          cpu.Cpu.idle <- true;
+          cpu.Cpu.acct.sleep_dt <- t.params.idle_poll;
+          Cpu.arm_poll cpu w);
+    }
+
 (* The per-CPU idle loop.  Checks for queued consistency actions (the
    paper's idle-processor optimisation: idle CPUs are not interrupted but
    must drain their action queues before becoming active), then dispatches
    a ready thread or naps. *)
 let idle_loop t (cpu : Cpu.t) () =
+  let nap = nap t cpu in
   while not t.shutdown do
     Cpu.check_interrupts cpu;
     (* Leave the idle set *before* draining queued consistency actions so
@@ -213,8 +243,8 @@ let idle_loop t (cpu : Cpu.t) () =
         t.return_wakeners.(Cpu.id cpu) <- None;
         cpu.Cpu.idle <- true
     | None ->
-        cpu.Cpu.idle <- true;
-        Cpu.interruptible_sleep cpu t.params.idle_poll
+        Engine.suspend_with nap;
+        cpu.Cpu.sleeper <- Engine.no_wakener
   done
 
 let start t =

@@ -54,6 +54,12 @@ type t = {
   mutable started_threads : int;
   mutable pre_dispatch : Cpu.t -> unit;
       (** run by idle loops before dispatching (consistency-action check) *)
+  mutable actions_queued : Cpu.t -> bool;
+      (** [pre_dispatch] has queued work for this CPU.  While it has none,
+          [pre_dispatch] must perform no effect: the engine may run it to
+          re-park a quiet idle loop (Engine.idle_suspension).  A machine
+          takes both from one module ([Shootdown.idle_pending] and
+          [Shootdown.idle_check]). *)
   mutable activate : thread -> Cpu.t -> unit;
   mutable deactivate : thread -> Cpu.t -> unit;
   mutable shutdown : bool;

@@ -33,6 +33,7 @@ let wire_scheduler_hooks ctx (sched : Sim.Sched.t) =
          make that visible to initiators before draining queued actions. *)
       ctx.Pmap.active.(Sim.Cpu.id cpu) <- false;
       Shootdown.idle_check ctx cpu);
+  sched.Sim.Sched.actions_queued <- Shootdown.idle_pending ctx;
   sched.Sim.Sched.activate <-
     (fun th cpu ->
       (* Drain any actions queued while this processor was idle before it

@@ -142,6 +142,7 @@ type act =
   | Park of int  (** suspend, leaving the wakener in a slot *)
   | Wake of int  (** wake the slot's wakener, maybe already fired *)
   | Wake_after of float * int
+  | Poll_after of float * int  (** [Wake_after] through the poll lane *)
 
 let rec pp_act = function
   | Log i -> Printf.sprintf "Log %d" i
@@ -152,6 +153,7 @@ let rec pp_act = function
   | Park i -> Printf.sprintf "Park %d" i
   | Wake i -> Printf.sprintf "Wake %d" i
   | Wake_after (d, i) -> Printf.sprintf "Wake_after (%g, %d)" d i
+  | Poll_after (d, i) -> Printf.sprintf "Poll_after (%g, %d)" d i
 
 and pp_acts acts = "[" ^ String.concat "; " (List.map pp_act acts) ^ "]"
 
@@ -178,7 +180,8 @@ let run_engine (init, limits) : observed =
         | Park i ->
             if fiber then Sim.Engine.suspend (fun w -> slots.(i) <- w)
         | Wake i -> Sim.Engine.wake eng slots.(i)
-        | Wake_after (dt, i) -> Sim.Engine.wake_after eng dt slots.(i))
+        | Wake_after (dt, i) -> Sim.Engine.wake_after eng dt slots.(i)
+        | Poll_after (dt, i) -> Sim.Engine.poll_after eng dt slots.(i))
       acts
   in
   exec ~fiber:false init;
@@ -237,7 +240,8 @@ let run_reference (init, limits) : observed =
             | Spawn (_, b) -> push !now (Acts (true, b))
             | Delay _ | Park _ -> ()
             | Wake i -> wake slots.(i)
-            | Wake_after (dt, i) -> push (!now +. dt) (Timer slots.(i)));
+            | Wake_after (dt, i) | Poll_after (dt, i) ->
+                push (!now +. dt) (Timer slots.(i)));
             exec ~fiber rest)
   in
   let pop () =
@@ -266,26 +270,24 @@ let run_reference (init, limits) : observed =
   done;
   (List.rev !log, snaps @ [ snap () ])
 
-let gen_program =
+let gen_program_with ?(extra = []) dt =
   let open QCheck.Gen in
-  (* mostly 0: same-instant pushes and nested same-instant bursts *)
-  let dt = frequency [ (4, return 0.0); (1, oneofl [ 1.0; 2.5; 5.0 ]) ] in
   (* absolute times, which fall into the past as the clock moves *)
   let abs_time = oneofl [ 0.0; 1.0; 3.0; 5.0; 8.0 ] in
   let slot = int_bound (n_slots - 1) in
   let act =
     sized
     @@ fix (fun self n ->
-           let leaf =
-             frequency
-               [
-                 (3, map (fun i -> Log i) small_nat);
-                 (2, map (fun d -> Delay d) dt);
-                 (2, map (fun i -> Park i) slot);
-                 (2, map (fun i -> Wake i) slot);
-                 (2, map2 (fun d i -> Wake_after (d, i)) dt slot);
-               ]
+           let leaves =
+             [
+               (3, map (fun i -> Log i) small_nat);
+               (2, map (fun d -> Delay d) dt);
+               (2, map (fun i -> Park i) slot);
+               (2, map (fun i -> Wake i) slot);
+               (2, map2 (fun d i -> Wake_after (d, i)) dt slot);
+             ]
            in
+           let leaf = frequency (leaves @ extra) in
            if n <= 0 then leaf
            else
              let body = list_size (int_bound 4) (self (n / 3)) in
@@ -301,11 +303,37 @@ let gen_program =
     (list_size (int_range 1 6) act)
     (list_size (int_bound 3) (oneofl [ 0.0; 0.5; 2.0; 7.0 ]))
 
+(* mostly 0: same-instant pushes and nested same-instant bursts *)
+let gen_program =
+  QCheck.Gen.(
+    gen_program_with
+      (frequency [ (4, return 0.0); (1, oneofl [ 1.0; 2.5; 5.0 ]) ]))
+
+let print_program (init, limits) =
+  Printf.sprintf "init %s, run_until deltas [%s]" (pp_acts init)
+    (String.concat "; " (List.map string_of_float limits))
+
 let queue_order_matches_reference =
   QCheck.Test.make ~name:"engine pop order = Sim.Heap reference" ~count:500
     (QCheck.make gen_program ~print:(fun (init, limits) ->
          Printf.sprintf "init %s, run_until deltas [%s]" (pp_acts init)
            (String.concat "; " (List.map string_of_float limits))))
+    (fun prog -> run_engine prog = run_reference prog)
+
+(* The same, with poll timers: most are armed one period of 2.5 ahead, as
+   idle loops arm them, so they queue in the poll lane, tie with heap
+   entries pushed for the same instant and straddle [run_until] limits.
+   The rest are due now, or earlier or later than the lane's tail, and
+   so go to the same-instant lane or the heap. *)
+let poll_order_matches_reference =
+  let open QCheck.Gen in
+  let dt = frequency [ (3, return 0.0); (1, oneofl [ 1.0; 2.5; 5.0 ]) ] in
+  let poll_dt = frequency [ (4, return 2.5); (1, oneofl [ 0.0; 1.0; 5.0 ]) ] in
+  let slot = int_bound (n_slots - 1) in
+  let extra = [ (4, map2 (fun d i -> Poll_after (d, i)) poll_dt slot) ] in
+  QCheck.Test.make ~name:"engine with a poll lane = Sim.Heap reference"
+    ~count:500
+    (QCheck.make ~print:print_program (gen_program_with ~extra dt))
     (fun prog -> run_engine prog = run_reference prog)
 
 (* A thunk that re-schedules itself for the same instant never lets the
@@ -374,6 +402,58 @@ let test_explorer_tie_across_queues () =
   in
   check_run 0 [ "W"; "H"; "Z" ];
   check_run 1 [ "W"; "Z"; "H" ]
+
+(* A tie at T = 10 across all three queues: H (pushed at 0) and H2
+   (pushed at 8) in the heap, the poll timer P (armed at 6 by a coroutine,
+   one period of 4 ahead) in the poll lane, Z (pushed at 10) in the
+   same-instant lane.  The explorer is offered them in seq order, H, P,
+   H2, Z, so FIFO is alternative 0, and the losers return in seq order.
+   P's coroutine logs on the wake its timer pushes, which queues behind
+   the losers, so "P" always comes last. *)
+let test_explorer_tie_three_queues () =
+  let run choice =
+    let eng = Sim.Engine.create () in
+    let ex = Sim.Explore.create ~prefix:[| choice |] () in
+    let order = ref [] in
+    let log tag = order := tag :: !order in
+    Sim.Engine.at eng 10.0 (fun () ->
+        log "W";
+        Sim.Engine.set_explore eng (Some ex);
+        Sim.Engine.after eng 0.0 (fun () -> log "Z"));
+    Sim.Engine.at eng 10.0 (fun () -> log "H");
+    Sim.Engine.at eng 6.0 (fun () ->
+        Sim.Engine.spawn eng (fun () ->
+            Sim.Engine.suspend (fun w -> Sim.Engine.poll_after eng 4.0 w);
+            log "P"));
+    Sim.Engine.at eng 8.0 (fun () ->
+        Sim.Engine.at eng 10.0 (fun () -> log "H2"));
+    Sim.Engine.run eng;
+    let offered =
+      List.map
+        (fun (d : Sim.Explore.decision) -> (d.d_alts, d.d_chosen))
+        (Sim.Explore.decisions ex)
+    in
+    (List.rev !order, offered)
+  in
+  (* choice -> log, then (alternatives, chosen) of every tie offered *)
+  let expected =
+    [
+      (0, [ "W"; "H"; "H2"; "Z"; "P" ], [ (4, 0); (3, 0); (3, 0); (2, 0) ]);
+      (1, [ "W"; "H"; "H2"; "Z"; "P" ], [ (4, 1); (4, 0); (3, 0); (2, 0) ]);
+      (2, [ "W"; "H2"; "H"; "Z"; "P" ], [ (4, 2); (3, 0); (2, 0); (2, 0) ]);
+      (3, [ "W"; "Z"; "H"; "H2"; "P" ], [ (4, 3); (3, 0); (2, 0); (2, 0) ]);
+    ]
+  in
+  List.iter
+    (fun (choice, order', offered') ->
+      let order, offered = run choice in
+      Alcotest.(check (list string))
+        (Printf.sprintf "order, choice %d" choice)
+        order' order;
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "ties offered, choice %d" choice)
+        offered' offered)
+    expected
 
 (* ------------------------------------------------------------------ *)
 (* Prng *)
@@ -885,6 +965,9 @@ let () =
             test_run_until_backwards;
           Alcotest.test_case "explorer tie across queues" `Quick
             test_explorer_tie_across_queues;
+          QCheck_alcotest.to_alcotest poll_order_matches_reference;
+          Alcotest.test_case "explorer tie across three queues" `Quick
+            test_explorer_tie_three_queues;
         ] );
       ( "prng",
         Alcotest.test_case "deterministic" `Quick test_prng_deterministic
