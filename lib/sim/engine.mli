@@ -22,11 +22,7 @@ type t
 type wakener
 (** One-shot handle to a parked coroutine.  Waking twice is a no-op. *)
 
-val create : ?seed:int64 -> ?max_events:int -> ?shards:int -> unit -> t
-(** [shards] splits the event heap into that many independent sub-heaps
-    (default 1).  Events pop in globally identical (time, seq) order at
-    any shard count — sharding only shrinks the per-heap sift depth so
-    cluster-scale machines stay tractable. *)
+val create : ?seed:int64 -> ?max_events:int -> unit -> t
 
 val now : t -> float
 (** Current simulated time in microseconds. *)
@@ -41,9 +37,6 @@ val events_processed : t -> int
 
 val pending : t -> int
 (** Events scheduled and not yet processed. *)
-
-val shards : t -> int
-(** Number of event-heap shards this engine was created with. *)
 
 val at : ?label:string -> t -> float -> (unit -> unit) -> unit
 (** [at t time thunk] schedules [thunk] (clamped to no earlier than now).
@@ -86,12 +79,9 @@ val pending_summary : t -> (float * string) list
 (** Pending events as sorted [(delay from now, schedule label)] pairs —
     folded into the model checker's state fingerprints. *)
 
-val spawn : t -> ?name:string -> ?shard:int -> (unit -> unit) -> unit
+val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Start a coroutine at the current instant.  The body may perform
-    {!delay} and {!suspend}.  [shard] pins the coroutine's events to one
-    event-heap shard (default: the shard of the event being executed);
-    the scheduler uses it to keep each cluster's idle loops and threads
-    on that cluster's shard. *)
+    {!delay} and {!suspend}. *)
 
 val delay : float -> unit
 (** Let [dt] microseconds of simulated time pass for the calling coroutine.

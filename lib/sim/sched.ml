@@ -252,7 +252,6 @@ let start t =
     (fun cpu ->
       Engine.spawn t.eng
         ~name:(Printf.sprintf "idle%d" (Cpu.id cpu))
-        ~shard:t.cluster_of_cpu.(Cpu.id cpu)
         (idle_loop t cpu))
     t.cpus
 
@@ -351,7 +350,7 @@ let create_thread t ?bound ?(name = "thread") body =
   in
   t.live_threads <- t.live_threads + 1;
   t.started_threads <- t.started_threads + 1;
-  Engine.spawn t.eng ~name ~shard:home (fun () ->
+  Engine.spawn t.eng ~name (fun () ->
       Engine.suspend (fun w ->
           th.parked <- Some w;
           make_ready t th);

@@ -130,9 +130,7 @@ let spawn_pageout_daemon t =
          Pageout.daemon t.vms self))
 
 let create ?(params = Sim.Params.default) () =
-  let eng =
-    Sim.Engine.create ~seed:params.seed ~shards:(Sim.Params.clusters params) ()
-  in
+  let eng = Sim.Engine.create ~seed:params.seed () in
   let bus = Sim.Bus.create eng params in
   let cpus = Array.init params.ncpus (fun id -> Sim.Cpu.create eng bus params ~id) in
   let mem = Hw.Phys_mem.create ~frames:params.phys_pages in

@@ -2,12 +2,11 @@
 
    Two families of properties.  Equivalence: a cluster size of 0 (or >=
    ncpus) must reproduce the historical flat machine exactly — same
-   floats, same event order — and event-heap sharding must be invisible
-   to the pop order at any shard count.  Behaviour: on a genuinely
-   clustered machine, remote accesses cross the interconnect and cost
-   more, cluster-targeted multicast interrupts only resident clusters,
-   and the shootdown protocol keeps the consistency oracle green on
-   random kernel map/unmap histories. *)
+   floats, same event order.  Behaviour: on a genuinely clustered
+   machine, remote accesses cross the interconnect and cost more,
+   cluster-targeted multicast interrupts only resident clusters, and the
+   shootdown protocol keeps the consistency oracle green on random kernel
+   map/unmap histories. *)
 
 module Oracle = Core.Consistency_oracle
 
@@ -49,69 +48,6 @@ let test_flat_equivalence () =
   in
   Alcotest.(check bool) "cluster_size = ncpus is the flat machine" true (a = b);
   Alcotest.(check bool) "cluster_size > ncpus is the flat machine" true (a = c)
-
-(* Sharding the event heap must not change the pop order: seqs are
-   globally unique, so the global (time, seq) minimum is the same
-   whichever sub-heap holds it. *)
-let heap_sharding_invisible =
-  QCheck.Test.make ~count:200
-    ~name:"sharded heap pops in single-heap (time, seq) order"
-    QCheck.(list (pair (float_bound_exclusive 1000.0) small_nat))
-    (fun pairs ->
-      let h1 = Sim.Heap.create ~dummy:(-1) () in
-      let h4 = Sim.Heap.create ~shards:4 ~dummy:(-1) () in
-      List.iteri
-        (fun i (t, v) ->
-          Sim.Heap.push h1 t i v;
-          Sim.Heap.push h4 ~shard:(v mod 4) t i v)
-        pairs;
-      let drain h =
-        let acc = ref [] in
-        while not (Sim.Heap.is_empty h) do
-          acc := Sim.Heap.pop h :: !acc
-        done;
-        List.rev !acc
-      in
-      drain h1 = drain h4)
-
-(* The same property end-to-end: an engine with sharded spawns replays
-   the identical event interleaving as an unsharded one. *)
-let test_sharded_engine_order () =
-  let run shards =
-    let eng = Sim.Engine.create ~shards () in
-    let log = ref [] in
-    for i = 0 to 7 do
-      Sim.Engine.spawn eng
-        ~name:(Printf.sprintf "c%d" i)
-        ~shard:(i mod shards)
-        (fun () ->
-          for s = 1 to 5 do
-            Sim.Engine.delay (float_of_int (((i * 7) + s) mod 11));
-            log := (i, Sim.Engine.now eng) :: !log
-          done)
-    done;
-    Sim.Engine.run eng;
-    List.rev !log
-  in
-  Alcotest.(check bool)
-    "identical interleaving at 1 and 4 shards" true
-    (run 1 = run 4)
-
-(* Runaway diagnostics depend on iter_payloads seeing every shard. *)
-let test_iter_payloads_all_shards () =
-  let h = Sim.Heap.create ~shards:3 ~dummy:0 () in
-  for i = 0 to 8 do
-    Sim.Heap.push h ~shard:(i mod 3) (float_of_int i) i (100 + i)
-  done;
-  Alcotest.(check int) "length sums the shards" 9 (Sim.Heap.length h);
-  let seen = ref [] in
-  Sim.Heap.iter_payloads (fun v -> seen := v :: !seen) h;
-  Alcotest.(check (list int))
-    "every shard's payloads visited"
-    (List.init 9 (fun i -> 100 + i))
-    (List.sort compare !seen);
-  ignore (Sim.Heap.pop h);
-  Alcotest.(check int) "length tracks pops" 8 (Sim.Heap.length h)
 
 (* ------------------------------------------------------------------ *)
 (* Clustered behaviour. *)
@@ -267,11 +203,6 @@ let () =
         [
           Alcotest.test_case "flat topology reproduces the single bus" `Quick
             test_flat_equivalence;
-          Alcotest.test_case "sharded engine keeps event order" `Quick
-            test_sharded_engine_order;
-          Alcotest.test_case "iter_payloads covers every shard" `Quick
-            test_iter_payloads_all_shards;
-          QCheck_alcotest.to_alcotest heap_sharding_invisible;
         ] );
       ( "clustered",
         [
