@@ -619,7 +619,8 @@ let check_cmd =
   in
   let max_schedules_arg =
     Arg.(
-      value & opt int 600
+      value
+      & opt int Check.Explorer.default_max_schedules
       & info [ "max-schedules" ] ~doc:"Schedule cap per scenario.")
   in
   let no_prune_arg =

@@ -51,8 +51,11 @@ type result = {
 
 exception Stop
 
+let default_max_schedules = 5000
+
 let explore ?(mutant = Core.Pmap.No_mutant) ?(cpus = 2) ?(depth = 16)
-    ?(max_schedules = 600) ?(prune = true) ?(max_decisions = 4096) spec =
+    ?(max_schedules = default_max_schedules) ?(prune = true)
+    ?(max_decisions = 4096) spec =
   let actual_cpus = Scenario.cpus spec ~requested:cpus in
   let stats = zero_stats () in
   let visited : (string, unit) Hashtbl.t = Hashtbl.create 1024 in

@@ -41,6 +41,10 @@ type result = {
   stats : stats;
 }
 
+val default_max_schedules : int
+(** The schedule cap per scenario when none is given: 5000, enough for
+    every default scenario to exhaust at depth 16 on 2 and on 4 CPUs. *)
+
 val explore :
   ?mutant:Core.Pmap.mutant ->
   ?cpus:int ->
@@ -51,7 +55,7 @@ val explore :
   Scenario.spec ->
   result
 (** DFS over the schedule space of one scenario.  Defaults: no mutant,
-    2 requested CPUs, depth 16, 600-schedule cap, pruning on. *)
+    2 requested CPUs, depth 16, {!default_max_schedules}, pruning on. *)
 
 (** {2 Counterexamples} *)
 

@@ -491,11 +491,14 @@ let prot_code = function
   | Addr.Prot_read -> 1
   | Addr.Prot_read_write -> 2
 
+(* Pending delays print in hex ([%h]), which is exact: a decimal format
+   rounds, and two states whose delays differ past its last digit would
+   share a fingerprint, so pruning would drop schedules never explored. *)
 let fingerprint (machine : Machine.t) =
   let b = Buffer.create 512 in
   let ctx = machine.Machine.ctx in
   List.iter
-    (fun (dt, name) -> Buffer.add_string b (Printf.sprintf "%g:%s;" dt name))
+    (fun (dt, name) -> Buffer.add_string b (Printf.sprintf "%h:%s;" dt name))
     (Sim.Engine.pending_summary machine.Machine.eng);
   let bools tag a =
     Buffer.add_string b tag;

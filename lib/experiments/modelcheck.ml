@@ -23,7 +23,8 @@ type t = {
   mutant : Core.Pmap.mutant;
 }
 
-let run ?(cpus = 2) ?(depth = 16) ?(max_schedules = 600) ?(prune = true)
+let run ?(cpus = 2) ?(depth = 16)
+    ?(max_schedules = Check.Explorer.default_max_schedules) ?(prune = true)
     ?(mutant = Core.Pmap.No_mutant) ?scenario () =
   let specs =
     match scenario with
