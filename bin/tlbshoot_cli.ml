@@ -119,52 +119,13 @@ let run_tester ~children ~policy:(policy, params) =
     r.Workloads.Tlb_tester.initiator_elapsed
     r.Workloads.Tlb_tester.increments_total
 
-type trace_workload = Tester | Mach | Parthenon | Agora | Camelot
-
-let trace_workloads =
-  [
-    ("tester", Tester);
-    ("mach", Mach);
-    ("parthenon", Parthenon);
-    ("agora", Agora);
-    ("camelot", Camelot);
-  ]
-
 (* Replay a workload with the structured span tracer attached and dump
    the stream — the machine-readable "anatomy of a shootdown".  With
    --perfetto the same stream is written as a Chrome trace-event file
-   (one track per CPU) loadable in ui.perfetto.dev; the tester path also
-   attaches the contention profiler so the timeline carries the
-   prof.<category> attribution slices. *)
+   (one track per CPU) loadable in ui.perfetto.dev. *)
 let run_trace ~workload ~children ~scale ~emit_json ~perfetto =
   let tr = Instrument.Trace.create () in
-  (match workload with
-  | Tester ->
-      let machine = Vm.Machine.create ~params:Sim.Params.default () in
-      machine.Vm.Machine.ctx.Core.Pmap.trace <- Some tr;
-      Sim.Engine.set_tracer machine.Vm.Machine.eng (Some tr);
-      let profile =
-        Instrument.Profile.create ~ncpus:Sim.Params.default.Sim.Params.ncpus ()
-      in
-      Instrument.Profile.set_tracer profile (Some tr);
-      Vm.Machine.attach_profile machine profile;
-      ignore (Workloads.Tlb_tester.run machine ~children ())
-  | Mach ->
-      ignore
-        (Workloads.Mach_build.run ~trace:tr
-           ~cfg:(Experiments.Apps.scaled_mach scale) ())
-  | Parthenon ->
-      ignore
-        (Workloads.Parthenon.run ~trace:tr
-           ~cfg:(Experiments.Apps.scaled_parthenon scale) ())
-  | Agora ->
-      ignore
-        (Workloads.Agora.run ~trace:tr
-           ~cfg:(Experiments.Apps.scaled_agora scale) ())
-  | Camelot ->
-      ignore
-        (Workloads.Camelot.run ~trace:tr
-           ~cfg:(Experiments.Apps.scaled_camelot scale) ()));
+  Experiments.Apps.trace tr ~children ~scale workload;
   (* A capped ring that wrapped lost its oldest spans: say so on stderr
      at report time, whatever the output format, so a truncated stream
      is never mistaken for a complete one. *)
@@ -467,11 +428,11 @@ let trace_cmd =
   let workload_arg =
     Arg.(
       value
-      & opt (enum trace_workloads) Tester
+      & opt (enum Experiments.Apps.trace_workloads) Experiments.Apps.Tester
       & info [ "workload" ]
           ~doc:
             (Printf.sprintf "Workload to replay: %s."
-               (doc_alts_enum trace_workloads)))
+               (doc_alts_enum Experiments.Apps.trace_workloads)))
   in
   let trace_scale_arg =
     Arg.(

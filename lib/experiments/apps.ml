@@ -63,3 +63,40 @@ let run ?(jobs = 1) ?(scale = 100) () =
   | _ -> assert false
 
 let all t = [ t.mach; t.parthenon; t.agora; t.camelot ]
+
+(* The workloads [tlbshoot trace] replays, by CLI name. *)
+type trace_workload = Tester | Mach | Parthenon | Agora | Camelot
+
+let trace_workloads =
+  [
+    ("tester", Tester);
+    ("mach", Mach);
+    ("parthenon", Parthenon);
+    ("agora", Agora);
+    ("camelot", Camelot);
+  ]
+
+(* Replay one workload with the span tracer [tr] attached: the tester
+   with [children] responders on the default machine, an application at
+   [scale] %.  The tester also attaches the contention profiler, so the
+   stream carries its prof.<category> attribution slices. *)
+let trace tr ~children ~scale = function
+  | Tester ->
+      let machine = Vm.Machine.create ~params:Sim.Params.default () in
+      machine.Vm.Machine.ctx.Core.Pmap.trace <- Some tr;
+      Sim.Engine.set_tracer machine.Vm.Machine.eng (Some tr);
+      let profile =
+        Instrument.Profile.create ~ncpus:Sim.Params.default.Sim.Params.ncpus ()
+      in
+      Instrument.Profile.set_tracer profile (Some tr);
+      Vm.Machine.attach_profile machine profile;
+      ignore (Workloads.Tlb_tester.run machine ~children ())
+  | Mach ->
+      ignore (Workloads.Mach_build.run ~trace:tr ~cfg:(scaled_mach scale) ())
+  | Parthenon ->
+      ignore
+        (Workloads.Parthenon.run ~trace:tr ~cfg:(scaled_parthenon scale) ())
+  | Agora ->
+      ignore (Workloads.Agora.run ~trace:tr ~cfg:(scaled_agora scale) ())
+  | Camelot ->
+      ignore (Workloads.Camelot.run ~trace:tr ~cfg:(scaled_camelot scale) ())

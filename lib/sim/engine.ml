@@ -51,6 +51,33 @@
    the same continuation: the wake event is counted as ever, and the
    continue and perform pair is skipped.
 
+   Most events are such polls, in runs: between two other events, every
+   idle CPU polls again and again.  So with no explorer attached and the
+   same-instant lane empty, [step] and [run_until] first re-arm the run
+   at the poll lane's head in place ({!rearm_quiet_polls}): pop the
+   timer, count it and its wake, settle, and push the same cell back one
+   period later, with no wakener taken, no wake queued and nothing
+   allocated.  That is exactly what dispatching each poll would do:
+   - A timer's pop only takes its wakener and queues the wake, so polls
+     tied at one instant, which would pop timer, timer, wake, wake, can be
+     handled timer and wake, timer and wake: nothing reads a wakener's
+     state between them, and the budget check reserves room for the whole
+     tied run, so it cannot trip between two orders that differ.
+   - A head strictly earlier than the heap's root, with the same-instant
+     lane empty, is the next event, and its wake would run in its own
+     dispatch: no other event runs between the timer and its wake.  A
+     heap entry at the same instant would run between them.
+   - A loop parked on an unfired wakener [w] has [cpu.idle] true,
+     [sleep_dt] equal to its period and [sleeper == w], written by its
+     park and by nothing else while it is parked, and the head is [w]'s
+     only timer.  So keeping the loop on [w] leaves the state a fresh
+     wakener's park would write; only [w]'s identity differs, and only the
+     idle CPU's own [sleeper] field holds it.
+   - The re-armed entry takes a fresh seq, later than every seq already
+     queued, as the fresh park's timer would have; the wake seqs it skips
+     were only ever compared with each other, so every queued pair of
+     entries keeps its relative order, and so does every later push.
+
    Per-label event accounting goes through Instrument.Metrics counters.
    The counter handle is resolved when the event is *scheduled* — the
    handles for the engine's own labels are resolved once at creation — so
@@ -118,8 +145,9 @@ module Lane = struct
     q.seqs.(i) <- seq;
     q.len <- q.len + 1
 
-  (* A timed ring's push; [time] must be at or after the tail's. *)
-  let push_timed q time seq ev =
+  (* A timed ring's push; [time] must be at or after the tail's.  Inlined,
+     so the time reaches the array unboxed. *)
+  let[@inline] push_timed q time seq ev =
     if q.len = Array.length q.evs then grow q;
     q.times.(slot q q.len) <- time;
     push q seq ev
@@ -128,6 +156,7 @@ module Lane = struct
      timed for a time. *)
   let[@inline] head_time q = q.times.(q.head)
   let[@inline] head_seq q = q.seqs.(q.head)
+  let[@inline] head_ev q = q.evs.(q.head)
   let[@inline] tail_time q = q.times.(slot q (q.len - 1))
 
   (* Remove the oldest entry and return its payload; the ring must be
@@ -202,6 +231,7 @@ and idle = {
   quiet : unit -> bool; (* the loop's next iteration would do nothing *)
   settle : unit -> unit; (* that iteration's writes before it parks *)
   park : wakener -> unit; (* the park's registration *)
+  period : float; (* how far ahead [park] arms the poll timer *)
 }
 
 (* Pre-fired sentinel: waking it is a no-op.  Never mutated (fired stays
@@ -621,7 +651,66 @@ let dispatch t =
   | Ev_resume (_, k) -> Effect.Deep.continue k ()
   | Ev_wake (_, c) -> resume c
 
+(* Whether the poll lane's head is the next event, due by [limit], with
+   room in the budget for two events per poll-lane entry. *)
+let[@inline] poll_next t limit =
+  let p = t.polls in
+  p.len > 0 && t.lane.len = 0
+  && Lane.head_time p <= limit
+  && (Heap.is_empty t.heap || Lane.head_time p < Heap.root_time t.heap)
+  && t.events + (2 * p.len) <= t.max_events
+
+(* Re-arm the run of quiet idle polls at the poll lane's head, in place.
+   While the head is due strictly before the heap's root and no later
+   than [limit], and is the poll timer of an idle loop still parked on it
+   whose next iteration would be quiet, the head is what [dispatch] would
+   pop, and its wake would run in the timer's dispatch and re-park the
+   loop ({!fire}, {!resume}).  So this pops it, counts the timer and the
+   wake, settles, and pushes the same cell back one period later with a
+   fresh seq: the loop stays parked on the same wakener, a stand-in for
+   the fresh one (the header says why that is exact).  A head that would
+   go back out of the ring's order is re-parked through [park].
+
+   The budget check reserves two events for every entry in the poll lane,
+   not just the head's two: a run tied at one instant then fits whole, so
+   the budget never trips between the order this loop counts in (timer,
+   wake, timer, wake) and the one dispatch would (timer, timer, wake,
+   wake).  The clock moves to the head before [quiet] is asked, as the
+   pop would move it. *)
+let rearm_quiet_polls t limit =
+  let p = t.polls in
+  let more = ref true in
+  while !more && poll_next t limit do
+    match Lane.head_ev p with
+    | Ev_timer (c, ({ fired = false; cont = Idle (_, idle) } as w)) ->
+        let time = Lane.head_time p in
+        t.now <- time;
+        if idle.quiet () then begin
+          let ev = Lane.pop p in
+          Instrument.Metrics.inc c;
+          Instrument.Metrics.inc t.c_wake;
+          t.events <- t.events + 2;
+          idle.settle ();
+          let next = time +. idle.period in
+          if next > time && (p.len = 0 || next >= Lane.tail_time p) then begin
+            t.seq <- t.seq + 1;
+            Lane.push_timed p next t.seq ev
+          end
+          else idle.park w
+        end
+        else more := false
+    | _ -> more := false
+  done
+
+(* The loop's entry test, inline so that a step it cannot help costs no
+   call.  An attached explorer must be offered every tie of two live
+   polls, so the loop is off under one. *)
+let[@inline] rearm t limit =
+  if Option.is_none t.explore && poll_next t limit then
+    rearm_quiet_polls t limit
+
 let step t =
+  rearm t infinity;
   if Heap.is_empty t.heap && t.lane.len = 0 && t.polls.len = 0 then false
   else begin
     dispatch t;
@@ -639,6 +728,7 @@ let run_until t limit =
     invalid_arg "Engine.run_until: limit is before the current time";
   let continue_ = ref true in
   while !continue_ do
+    rearm t limit;
     (* same-instant entries are due now, so within the limit *)
     if t.lane.len > 0 then dispatch t
     else if Heap.is_empty t.heap && t.polls.len = 0 then continue_ := false

@@ -111,6 +111,8 @@ type idle = {
           perform no effect while [quiet] holds *)
   park : wakener -> unit;
       (** the park's registration: record the wakener, arm its wake *)
+  period : float;
+      (** how far ahead [park] arms its timer, with {!poll_after} *)
 }
 (** An idle loop's park, for {!idle_suspension}. *)
 
@@ -122,7 +124,12 @@ val idle_suspension : idle -> suspension
     the same writes and parked again.  The wake event is counted either
     way, also when it runs in its timer's dispatch (see {!step}).  A loop
     that parks this way must therefore run [settle] and park again
-    whenever it resumes with [quiet] true. *)
+    whenever it resumes with [quiet] true.
+
+    [park] must arm exactly one timer, [poll_after t idle.period w], and
+    write the same values on every call for one loop: the engine may
+    re-arm that timer in place, keeping the loop parked on [w], instead
+    of calling [park] again (see {!step}). *)
 
 val wake : t -> wakener -> unit
 (** Resume a parked coroutine at the current instant (idempotent). *)
@@ -160,7 +167,16 @@ val step : t -> bool
     run in the timer's dispatch, with the counts and event budget it
     would have had as an event of its own, so the event stream is the
     same.  An attached explorer would have been offered no choice for
-    that wake, so it sees the same decisions too. *)
+    that wake, so it sees the same decisions too.
+
+    With no explorer attached and nothing queued for the current
+    instant, a step first re-arms the run of quiet idle polls at the poll
+    lane's head, in place: each poll due strictly before every other
+    pending event, whose loop ({!idle_suspension}) is still parked on it
+    and [quiet], counts its timer and its wake, runs [settle], and is
+    armed again [period] later, on the same wakener, with no wake queued.
+    Such a step processes many events, all of which would have been next
+    anyway and none of which resumes a coroutine. *)
 
 val run : t -> unit
 (** Run until no events remain. *)
@@ -168,4 +184,6 @@ val run : t -> unit
 val run_until : t -> float -> unit
 (** Run every event due at or before the limit, then set the clock to the
     limit if later events remain queued.  The clock never moves back.
+    Quiet idle polls are re-armed in place as in {!step}, up to the
+    limit.
     @raise Invalid_argument if the limit is before {!now}. *)

@@ -173,9 +173,18 @@ let next_thread t (cpu : Cpu.t) =
     !found
   end
 
+(* Whether a thread is ready for [cpu].  Every quiet idle poll asks, so
+   it scans with a plain loop: [Array.exists] would allocate its
+   predicate's closure on each call. *)
 let has_ready t (cpu : Cpu.t) =
   (not (Queue.is_empty t.bound_ready.(Cpu.id cpu)))
-  || Array.exists (fun q -> not (Queue.is_empty q)) t.cluster_ready
+  ||
+  let qs = t.cluster_ready in
+  let i = ref 0 in
+  while !i < Array.length qs && Queue.is_empty qs.(!i) do
+    incr i
+  done;
+  !i < Array.length qs
 
 (* Give the CPU back to its idle loop (pure). *)
 let hand_cpu_back t (cpu : Cpu.t) =
@@ -195,9 +204,11 @@ let quiet t (cpu : Cpu.t) =
   && not (t.actions_queued cpu)
 
 (* The idle loop's park: nap [Params.idle_poll], interruptibly.  The
-   engine re-parks a quiet loop through [settle] and [park], without
-   resuming it (Engine.idle_suspension). *)
+   engine re-parks a quiet loop through [settle] and [park], or re-arms
+   its poll timer [period] later in place, without resuming it
+   (Engine.idle_suspension). *)
 let nap t (cpu : Cpu.t) =
+  let period = t.params.idle_poll in
   Engine.idle_suspension
     {
       Engine.quiet = (fun () -> quiet t cpu);
@@ -205,8 +216,9 @@ let nap t (cpu : Cpu.t) =
       park =
         (fun w ->
           cpu.Cpu.idle <- true;
-          cpu.Cpu.acct.sleep_dt <- t.params.idle_poll;
+          cpu.Cpu.acct.sleep_dt <- period;
           Cpu.arm_poll cpu w);
+      period;
     }
 
 (* The per-CPU idle loop.  Checks for queued consistency actions (the

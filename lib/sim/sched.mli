@@ -109,3 +109,8 @@ val make_ready : t -> thread -> unit
 (** Internal/advanced: enqueue a Created/Blocked thread directly. *)
 
 val has_ready : t -> Cpu.t -> bool
+
+val quiet : t -> Cpu.t -> bool
+(** The CPU's idle loop would find nothing to do on its next iteration:
+    no shutdown, no deliverable interrupt, no ready thread, no queued
+    action.  Every idle poll asks, so it allocates nothing. *)

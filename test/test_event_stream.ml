@@ -125,6 +125,21 @@ let tester () =
         ];
     }
 
+(* The span stream, pinned.  Counts cannot see two events trade places;
+   the bytes of [tlbshoot trace --workload W --scale 2 --json] often can.
+   Each stream is pinned by its span count and the MD5 digest of those
+   bytes (the tester with the CLI's default four children), captured
+   before the engine re-armed runs of quiet idle polls in place. *)
+let stream workload ~spans ~digest () =
+  let tr = Instrument.Trace.create () in
+  Experiments.Apps.trace tr ~children:4 ~scale workload;
+  Alcotest.(check int) "spans" spans (Instrument.Trace.length tr);
+  Alcotest.(check string)
+    "digest of the JSON report" digest
+    (Digest.to_hex
+       (Digest.string
+          (Instrument.Json.to_string (Instrument.Trace.report_json tr))))
+
 let () =
   Alcotest.run "event-stream"
     [
@@ -135,5 +150,23 @@ let () =
           Alcotest.test_case "agora" `Quick agora;
           Alcotest.test_case "camelot" `Quick camelot;
           Alcotest.test_case "tester k=4" `Quick tester;
+        ] );
+      ( "trace streams",
+        [
+          Alcotest.test_case "tester" `Quick
+            (stream Experiments.Apps.Tester ~spans:66
+               ~digest:"78b91ee64e43aeec2c9295297bc7a443");
+          Alcotest.test_case "mach" `Quick
+            (stream Experiments.Apps.Mach ~spans:2448
+               ~digest:"cc290cf54a05a653bf3963a82a034aa7");
+          Alcotest.test_case "parthenon" `Quick
+            (stream Experiments.Apps.Parthenon ~spans:52
+               ~digest:"bd453f374f085bad5091e887b4b6909b");
+          Alcotest.test_case "agora" `Quick
+            (stream Experiments.Apps.Agora ~spans:2309
+               ~digest:"7c3833c23e69213d5acc3b4cd6c6a0f4");
+          Alcotest.test_case "camelot" `Quick
+            (stream Experiments.Apps.Camelot ~spans:510
+               ~digest:"3f6ab1cdbf937318fdd41e555537be18");
         ] );
     ]

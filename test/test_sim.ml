@@ -151,6 +151,9 @@ type act =
   | Wake of int  (** wake the slot's wakener, maybe already fired *)
   | Wake_after of float * int
   | Poll_after of float * int  (** [Wake_after] through the poll lane *)
+  | Flag of int  (** give idle loop [k] one piece of work *)
+  | Poke of int  (** wake idle loop [k]'s park, maybe already fired *)
+  | Idle_loop of int * float  (** idle loop [k], polling at this period *)
 
 let rec pp_act = function
   | Log i -> Printf.sprintf "Log %d" i
@@ -162,10 +165,21 @@ let rec pp_act = function
   | Wake i -> Printf.sprintf "Wake %d" i
   | Wake_after (d, i) -> Printf.sprintf "Wake_after (%g, %d)" d i
   | Poll_after (d, i) -> Printf.sprintf "Poll_after (%g, %d)" d i
+  | Flag k -> Printf.sprintf "Flag %d" k
+  | Poke k -> Printf.sprintf "Poke %d" k
+  | Idle_loop (k, p) -> Printf.sprintf "Idle_loop (%d, %g)" k p
 
 and pp_acts acts = "[" ^ String.concat "; " (List.map pp_act acts) ^ "]"
 
 let n_slots = 3
+
+(* Idle loops: loop [k] polls until [idle_horizon], logging (100 + k, now)
+   for each piece of work and, when it ends, (200 + k, its iteration
+   count).  An iteration with no work and before the horizon is quiet:
+   it only counts itself and parks.  Work costs [idle_work] of delay. *)
+let n_loops = 3
+let idle_horizon = 20.0
+let idle_work = 0.5
 
 (* What a run shows: the log, then (now, pending, events) after each
    [run_until] limit and after the final [run]. *)
@@ -175,6 +189,39 @@ let run_engine (init, limits) : observed =
   let eng = Sim.Engine.create () in
   let slots = Array.make n_slots Sim.Engine.no_wakener in
   let log = ref [] in
+  let flags = Array.make n_loops 0 and iters = Array.make n_loops 0 in
+  let parks = Array.make n_loops Sim.Engine.no_wakener in
+  let idle_loop k period =
+    let nap =
+      Sim.Engine.idle_suspension
+        {
+          Sim.Engine.quiet =
+            (fun () -> flags.(k) = 0 && Sim.Engine.now eng < idle_horizon);
+          settle = (fun () -> iters.(k) <- iters.(k) + 1);
+          park =
+            (fun w ->
+              parks.(k) <- w;
+              Sim.Engine.poll_after eng period w);
+          period;
+        }
+    in
+    let rec iterate () =
+      iters.(k) <- iters.(k) + 1;
+      if Sim.Engine.now eng >= idle_horizon then
+        log := (200 + k, float_of_int iters.(k)) :: !log
+      else if flags.(k) > 0 then begin
+        flags.(k) <- flags.(k) - 1;
+        log := (100 + k, Sim.Engine.now eng) :: !log;
+        Sim.Engine.delay idle_work;
+        iterate ()
+      end
+      else begin
+        Sim.Engine.suspend_with nap;
+        iterate ()
+      end
+    in
+    iterate ()
+  in
   let rec exec ~fiber acts =
     List.iter
       (function
@@ -188,7 +235,10 @@ let run_engine (init, limits) : observed =
             if fiber then Sim.Engine.suspend (fun w -> slots.(i) <- w)
         | Wake i -> Sim.Engine.wake eng slots.(i)
         | Wake_after (dt, i) -> Sim.Engine.wake_after eng dt slots.(i)
-        | Poll_after (dt, i) -> Sim.Engine.poll_after eng dt slots.(i))
+        | Poll_after (dt, i) -> Sim.Engine.poll_after eng dt slots.(i)
+        | Flag k -> flags.(k) <- flags.(k) + 1
+        | Poke k -> Sim.Engine.wake eng parks.(k)
+        | Idle_loop (k, period) -> if fiber then idle_loop k period)
       acts
   in
   exec ~fiber:false init;
@@ -218,6 +268,8 @@ let run_reference (init, limits) : observed =
   let now = ref 0.0 and seq = ref 0 and events = ref 0 in
   let slots = Array.init n_slots (fun _ -> { fired = true; rest = None }) in
   let log = ref [] in
+  let flags = Array.make n_loops 0 and iters = Array.make n_loops 0 in
+  let parks = Array.init n_loops (fun _ -> { fired = true; rest = None }) in
   let push time ev =
     let time = if time < !now then !now else time in
     incr seq;
@@ -239,13 +291,31 @@ let run_reference (init, limits) : observed =
         match act with
         | Delay dt when fiber -> push (!now +. dt) (Acts (true, rest))
         | Park i when fiber -> slots.(i) <- { fired = false; rest = Some rest }
+        | Idle_loop (k, period) when fiber ->
+            (* one iteration; the loop resumes on every poll *)
+            iters.(k) <- iters.(k) + 1;
+            if !now >= idle_horizon then begin
+              log := (200 + k, float_of_int iters.(k)) :: !log;
+              exec ~fiber rest
+            end
+            else if flags.(k) > 0 then begin
+              flags.(k) <- flags.(k) - 1;
+              log := (100 + k, !now) :: !log;
+              push (!now +. idle_work) (Acts (true, act :: rest))
+            end
+            else begin
+              parks.(k) <- { fired = false; rest = Some (act :: rest) };
+              push (!now +. period) (Timer parks.(k))
+            end
         | _ ->
             (match act with
             | Log i -> log := (i, !now) :: !log
             | At (tm, b) -> push tm (Acts (false, b))
             | After (dt, b) -> push (!now +. dt) (Acts (false, b))
             | Spawn b -> push !now (Acts (true, b))
-            | Delay _ | Park _ -> ()
+            | Delay _ | Park _ | Idle_loop _ -> ()
+            | Flag k -> flags.(k) <- flags.(k) + 1
+            | Poke k -> wake parks.(k)
             | Wake i -> wake slots.(i)
             | Wake_after (dt, i) | Poll_after (dt, i) ->
                 push (!now +. dt) (Timer slots.(i)));
@@ -341,6 +411,48 @@ let poll_order_matches_reference =
   QCheck.Test.make ~name:"engine with a poll lane = Sim.Heap reference"
     ~count:500
     (QCheck.make ~print:print_program (gen_program_with ~extra dt))
+    (fun prog -> run_engine prog = run_reference prog)
+
+(* The same, with up to [n_loops] idle loops parked through
+   [Engine.idle_suspension], whose [quiet] reads the program's state: the
+   work queued for them and the clock.  Work arrives from thunks, often at
+   a poll's instant, and pokes wake a loop between polls.  The reference
+   resumes every loop on every poll, so the engine's quiet-poll shortcuts
+   must give the same log, clocks, counts and pending events. *)
+let idle_order_matches_reference =
+  let open QCheck.Gen in
+  let dt = frequency [ (3, return 0.0); (1, oneofl [ 1.0; 2.5; 5.0 ]) ] in
+  let loop = int_bound (n_loops - 1) in
+  let extra =
+    [
+      (3, map (fun k -> Flag k) loop);
+      (2, map (fun k -> Poke k) loop);
+      ( 2,
+        map2
+          (fun tm k -> At (tm, [ Flag k ]))
+          (oneofl [ 5.0; 7.5; 10.0; 12.5; 16.0 ])
+          loop );
+    ]
+  in
+  let loops =
+    list_size (int_range 1 n_loops)
+      (pair (oneofl [ 0.0; 0.0; 1.0; 2.5 ]) (oneofl [ 2.5; 2.5; 1.0; 5.0 ]))
+  in
+  let program =
+    map2
+      (fun loops (init, limits) ->
+        ( List.mapi
+            (fun k (start, period) ->
+              At (start, [ Spawn [ Idle_loop (k, period) ] ]))
+            loops
+          @ init,
+          limits ))
+      loops
+      (gen_program_with ~extra dt)
+  in
+  QCheck.Test.make
+    ~name:"engine with quiet idle loops = Sim.Heap reference" ~count:500
+    (QCheck.make ~print:print_program program)
     (fun prog -> run_engine prog = run_reference prog)
 
 (* A thunk that re-schedules itself for the same instant never lets the
@@ -1098,6 +1210,209 @@ let test_yield_shares_cpu () =
     [ (1, 1); (2, 1); (1, 2); (2, 2); (1, 3); (2, 3) ]
     t
 
+(* ------------------------------------------------------------------ *)
+(* Quiet poll loop *)
+
+(* [step] and [run_until] re-arm a run of quiet idle polls in place,
+   without queuing their wakes.  Each case below is one condition that
+   must stop or bound that loop.  The instants, counts and decisions
+   were captured with every poll dispatched as its own event. *)
+
+(* Idle CPUs under a bare scheduler, booted at 0, so their polls tie at
+   25, 50, ...  [needed.(i)] stands for an action queued for CPU [i]: the
+   CPU's idle loop is not quiet until its [pre_dispatch] drains it, which
+   takes 5 us.  [settles] counts [pre_dispatch] calls and [drains] logs
+   each drain as (CPU, instant). *)
+type idle_rig = {
+  eng : Sim.Engine.t;
+  sched : Sim.Sched.t;
+  cpus : Sim.Cpu.t array;
+  needed : bool array;
+  settles : int ref;
+  drains : (int * float) list ref;
+}
+
+let idle_rig ncpus =
+  let params = { quiet_params with ncpus } in
+  let eng = Sim.Engine.create () in
+  let bus = Sim.Bus.create eng params in
+  let cpus = Array.init ncpus (fun id -> Sim.Cpu.create eng bus params ~id) in
+  let sched = Sim.Sched.create eng cpus params in
+  let needed = Array.make ncpus false in
+  let settles = ref 0 and drains = ref [] in
+  sched.actions_queued <- (fun cpu -> needed.(Sim.Cpu.id cpu));
+  sched.pre_dispatch <-
+    (fun cpu ->
+      incr settles;
+      let id = Sim.Cpu.id cpu in
+      if needed.(id) then begin
+        needed.(id) <- false;
+        drains := (id, Sim.Engine.now eng) :: !drains;
+        Sim.Engine.delay 5.0
+      end);
+  Sim.Sched.start sched;
+  { eng; sched; cpus; needed; settles; drains }
+
+(* What the stream shows at a point: the clock, the events by label, the
+   settles and the pending events. *)
+let check_rig name r ~now ~labels ~settles ~pending =
+  check_float (name ^ ": clock") ~eps:0.0 now (Sim.Engine.now r.eng);
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": events by label")
+    labels
+    (List.sort compare (Sim.Engine.label_counts r.eng));
+  Alcotest.(check int) (name ^ ": settles") settles !(r.settles);
+  Alcotest.(check (list (pair (float 0.0) string)))
+    (name ^ ": pending") pending
+    (Sim.Engine.pending_summary r.eng)
+
+(* A thunk for 1000 pushed at 980, after the CPU's poll for 1000 was
+   armed, makes a thread ready.  The poll pops first, but its wake comes
+   after the thunk, so the loop resumes and dispatches the thread. *)
+let test_quiet_heap_tie () =
+  let r = idle_rig 1 in
+  let resumed = ref nan in
+  let b =
+    Sim.Sched.create_thread r.sched ~name:"B" (fun th ->
+        Sim.Sched.block r.sched th;
+        resumed := Sim.Engine.now r.eng)
+  in
+  Sim.Engine.at r.eng 980.0 (fun () ->
+      Sim.Engine.at r.eng 1000.0 (fun () -> Sim.Sched.wakeup r.sched b));
+  Sim.Engine.run_until r.eng 1000.0;
+  check_rig "at 1000" r ~now:1000.0
+    ~labels:
+      [ ("after", 35); ("at", 2); ("delay", 1); ("spawn", 2); ("wake", 37) ]
+    ~settles:37 ~pending:[ (150.0, "delay") ];
+  Sim.Engine.run_until r.eng 1200.0;
+  check_float "thread resumed" ~eps:0.0 1150.0 !resumed;
+  check_rig "at 1200" r ~now:1200.0
+    ~labels:
+      [ ("after", 37); ("at", 2); ("delay", 2); ("spawn", 2); ("wake", 41) ]
+    ~settles:40 ~pending:[ (25.0, "after") ]
+
+(* Two CPUs' polls tie at 1000; one CPU has an action queued, the other
+   none.  In either order the busy CPU's loop resumes and drains, and the
+   quiet one is re-parked. *)
+let test_quiet_tie_mixed () =
+  List.iter
+    (fun busy ->
+      let r = idle_rig 2 in
+      Sim.Engine.at r.eng 990.0 (fun () -> r.needed.(busy) <- true);
+      Sim.Engine.run_until r.eng 1100.0;
+      let name = Printf.sprintf "CPU %d busy" busy in
+      Alcotest.(check (list (pair int (float 0.0))))
+        (name ^ ": drains") [ (busy, 1000.0) ] !(r.drains);
+      check_rig name r ~now:1100.0
+        ~labels:
+          [ ("after", 87); ("at", 1); ("delay", 1); ("spawn", 2); ("wake", 87) ]
+        ~settles:89 ~pending:[ (5.0, "after"); (25.0, "after") ])
+    [ 0; 1 ]
+
+(* A [run_until] limit inside a run of polls: the clock ends at the limit,
+   with the polls after it still pending; a limit at a poll's instant
+   runs that poll. *)
+let test_quiet_run_until () =
+  let r = idle_rig 2 in
+  Sim.Engine.run_until r.eng 1010.0;
+  check_rig "limit between polls" r ~now:1010.0
+    ~labels:
+      [ ("after", 80); ("at", 0); ("delay", 0); ("spawn", 2); ("wake", 80) ]
+    ~settles:82 ~pending:[ (15.0, "after"); (15.0, "after") ];
+  Sim.Engine.run_until r.eng 1050.0;
+  check_rig "limit at a poll" r ~now:1050.0
+    ~labels:
+      [ ("after", 84); ("at", 0); ("delay", 0); ("spawn", 2); ("wake", 84) ]
+    ~settles:86 ~pending:[ (25.0, "after"); (25.0, "after") ]
+
+(* Two idle CPUs and nothing else never drain the queues, so the budget
+   trips.  Dispatched one by one, a tied pair of polls pops two timers,
+   then two wakes; budgets 40..43 trip at each of those four positions:
+   the two wakes at 250, then the two timers at 275. *)
+let test_quiet_runaway () =
+  let trip budget =
+    let r = idle_rig 2 in
+    Sim.Engine.set_max_events r.eng budget;
+    match Sim.Engine.run r.eng with
+    | () -> Alcotest.fail "expected Runaway"
+    | exception Sim.Engine.Runaway x ->
+        ( budget,
+          ( x.Sim.Engine.runaway_events,
+            x.Sim.Engine.runaway_at,
+            x.Sim.Engine.runaway_pending ) )
+  in
+  let tripped =
+    Alcotest.(pair int (triple int (float 0.0) (list (pair string int))))
+  in
+  Alcotest.(check (list tripped))
+    "budget -> events, instant, pending"
+    [
+      (40, (41, 250.0, [ ("wake", 2) ]));
+      (41, (42, 250.0, [ ("after", 1); ("wake", 1) ]));
+      (42, (43, 275.0, [ ("after", 2) ]));
+      (43, (44, 275.0, [ ("after", 1); ("wake", 1) ]));
+    ]
+    (List.map trip [ 40; 41; 42; 43 ])
+
+(* A poke wakes a quiet CPU between polls: it re-parks on a fresh
+   wakener, and the timer it armed before the poke sits at the poll
+   lane's head, stale, ahead of the new one. *)
+let test_quiet_stale_head () =
+  let r = idle_rig 1 in
+  Sim.Engine.at r.eng 1010.0 (fun () ->
+      Sim.Engine.wake r.eng r.cpus.(0).Sim.Cpu.sleeper);
+  Sim.Engine.run_until r.eng 1020.0;
+  check_rig "before the stale timer" r ~now:1020.0
+    ~labels:
+      [ ("after", 40); ("at", 1); ("delay", 0); ("spawn", 1); ("wake", 41) ]
+    ~settles:42 ~pending:[ (5.0, "after"); (15.0, "after") ];
+  Sim.Engine.run_until r.eng 1100.0;
+  check_rig "after it" r ~now:1100.0
+    ~labels:
+      [ ("after", 44); ("at", 1); ("delay", 0); ("spawn", 1); ("wake", 44) ]
+    ~settles:45 ~pending:[ (10.0, "after") ]
+
+(* Under an explorer every tie of two live polls is a choice, so no poll
+   is re-armed in place: the explorer is offered the same decisions. *)
+let test_quiet_explorer () =
+  let r = idle_rig 2 in
+  let ex = Sim.Explore.create ~prefix:[| 1; 0; 1; 1 |] () in
+  Sim.Engine.set_explore r.eng (Some ex);
+  Sim.Engine.at r.eng 60.0 (fun () -> r.needed.(1) <- true);
+  Sim.Engine.run_until r.eng 150.0;
+  Alcotest.(check (list (triple string int int)))
+    "decisions"
+    [
+      ("tie", 2, 1); ("tie", 2, 0); ("tie", 2, 1); ("tie", 2, 1); ("tie", 2, 0);
+      ("tie", 2, 0); ("tie", 2, 0); ("tie", 2, 0); ("tie", 2, 0);
+    ]
+    (List.map
+       (fun (d : Sim.Explore.decision) ->
+         (Sim.Explore.kind_name d.d_kind, d.d_alts, d.d_chosen))
+       (Sim.Explore.decisions ex));
+  Alcotest.(check (list (pair int (float 0.0))))
+    "drains" [ (1, 75.0) ] !(r.drains);
+  check_rig "at 150" r ~now:150.0
+    ~labels:
+      [ ("after", 11); ("at", 1); ("delay", 1); ("spawn", 2); ("wake", 11) ]
+    ~settles:13 ~pending:[ (5.0, "after"); (25.0, "after") ]
+
+(* [Sched.quiet] runs on every idle poll: it allocates nothing. *)
+let test_quiet_allocates_nothing () =
+  let m = Vm.Machine.create () in
+  Sim.Engine.run_until m.Vm.Machine.eng 1000.0;
+  let sched = m.Vm.Machine.sched in
+  let cpus = Sim.Sched.cpus sched in
+  Alcotest.(check int) "16 CPUs" 16 (Array.length cpus);
+  let quiet = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    if Sim.Sched.quiet sched cpus.(i land 15) then incr quiet
+  done;
+  let words = Gc.minor_words () -. before in
+  check_float "minor words" ~eps:0.0 0.0 words;
+  Alcotest.(check int) "every CPU quiet" 10_000 !quiet
+
 let () =
   Alcotest.run "sim"
     [
@@ -1138,6 +1453,23 @@ let () =
             test_fusion_run_until;
           Alcotest.test_case "budget trips on the wake" `Quick
             test_fusion_runaway;
+        ] );
+      ( "quiet poll loop",
+        [
+          Alcotest.test_case "heap tie readies a thread" `Quick
+            test_quiet_heap_tie;
+          Alcotest.test_case "tied polls, one quiet" `Quick
+            test_quiet_tie_mixed;
+          Alcotest.test_case "run_until limit inside a run" `Quick
+            test_quiet_run_until;
+          Alcotest.test_case "budget trips inside a run" `Quick
+            test_quiet_runaway;
+          Alcotest.test_case "stale timer at the head" `Quick
+            test_quiet_stale_head;
+          Alcotest.test_case "explorer attached" `Quick test_quiet_explorer;
+          Alcotest.test_case "Sched.quiet allocates nothing" `Quick
+            test_quiet_allocates_nothing;
+          QCheck_alcotest.to_alcotest idle_order_matches_reference;
         ] );
       ( "prng",
         Alcotest.test_case "deterministic" `Quick test_prng_deterministic
