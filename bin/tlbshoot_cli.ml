@@ -21,8 +21,10 @@
    --jobs fans independent trials over that many OCaml domains through
    Sim.Domain_pool; the default is the machine's recommended domain
    count and the output is bit-for-bit identical at any value (see
-   docs/PARALLELISM.md).  --runs, --trials and --jobs must be positive
-   and --max-procs within 2..15; anything else is a usage error. *)
+   docs/PARALLELISM.md).  --runs, --trials and --jobs must be positive,
+   as must check's --cpus, --depth and --max-schedules; --max-procs must
+   be within 2..15 and --children within 1..15.  Anything else is a
+   usage error. *)
 
 open Cmdliner
 
@@ -212,8 +214,11 @@ let run_check ~cpus ~depth ~max_schedules ~no_prune ~mutant ~scenario
     ~emit_json ~cex_out ~replay ~perfetto =
   match replay with
   | Some file -> (
-      let text = In_channel.with_open_text file In_channel.input_all in
-      match Check.Explorer.parse_counterexample text with
+      let text =
+        try Ok (In_channel.with_open_text file In_channel.input_all)
+        with Sys_error msg -> Error msg
+      in
+      match Result.bind text Check.Explorer.parse_counterexample with
       | Error msg ->
           prerr_endline msg;
           exit 2
@@ -305,16 +310,21 @@ let jobs_arg =
 let runs_arg default doc =
   Arg.(value & opt positive default & info [ "runs" ] ~doc)
 
-(* Figure 2 needs two points for its fit, and every tester child its own
-   CPU besides the initiator's on the 16-CPU machine. *)
+(* Figure 2 needs two points for its fit, and no more children than
+   [children_arg] allows. *)
 let max_procs_arg =
   Arg.(
     value
     & opt (int_in ~lo:2 ~hi:15 "an integer from 2 to 15") 15
     & info [ "max-procs" ] ~doc:"Largest processor count.")
 
+(* Every tester child needs its own CPU besides the initiator's on the
+   16-CPU machine. *)
 let children_arg =
-  Arg.(value & opt int 4 & info [ "children" ] ~doc:"Tester child threads.")
+  Arg.(
+    value
+    & opt (int_in ~lo:1 ~hi:15 "an integer from 1 to 15") 4
+    & info [ "children" ] ~doc:"Tester child threads.")
 
 let policy_arg =
   let named = List.map (fun (name, p) -> (name, (name, p))) policies in
@@ -564,7 +574,7 @@ let scale1024_cmd =
 let check_cmd =
   let cpus_arg =
     Arg.(
-      value & opt int 2
+      value & opt positive 2
       & info [ "cpus" ]
           ~doc:
             "Requested processors per scenario (scenarios may round up; \
@@ -572,7 +582,7 @@ let check_cmd =
   in
   let depth_arg =
     Arg.(
-      value & opt int 16
+      value & opt positive 16
       & info [ "depth" ]
           ~doc:
             "Expansion bound: only the first $(docv) choice positions of \
@@ -581,7 +591,7 @@ let check_cmd =
   let max_schedules_arg =
     Arg.(
       value
-      & opt int Check.Explorer.default_max_schedules
+      & opt positive Check.Explorer.default_max_schedules
       & info [ "max-schedules" ] ~doc:"Schedule cap per scenario.")
   in
   let no_prune_arg =
@@ -602,12 +612,17 @@ let check_cmd =
              must produce counterexamples; the healthy protocol must not.")
   in
   let scenario_arg =
+    let named =
+      List.map (fun s -> (Check.Scenario.key s, s)) Check.Scenario.all
+    in
     Arg.(
-      value & opt (some string) None
+      value
+      & opt (some (enum named)) None
       & info [ "scenario" ]
           ~doc:
-            "Run one scenario instead of the whole matrix: \
-             plain|pair|lazy|batch|elide|escalate|cluster.")
+            (Printf.sprintf
+               "Run one scenario instead of the whole matrix: %s."
+               (doc_alts_enum named)))
   in
   let json_arg =
     Arg.(

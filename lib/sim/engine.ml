@@ -6,43 +6,31 @@
    other coroutine wakes it.  Running the simulation is popping events in
    (time, seq) order until nothing is pending or a time limit is reached.
 
-   The pending events live in three queues.  The heap holds every event
-   for a later instant, poll timers aside.  The same-instant lane, a FIFO
-   ring, holds every event whose (clamped) time equals [now] when it is
-   pushed: mostly the wake that resumes a CPU whose sleep timer fired.
-   The poll lane, a second FIFO ring, holds the idle loops' poll timers
-   ({!poll_after}), which were most of the heap's traffic: each is
-   appended when it is due after [now] and no earlier than the lane's
-   tail, and goes to the heap otherwise.  Every idle loop polls with the
-   same period, so in practice every poll timer is appended.
+   The pending events live in two queues.  The poll lane, a FIFO ring,
+   holds the idle loops' poll timers ({!poll_after}): each is appended
+   when it is due after [now] and no earlier than the lane's tail, and
+   goes to the heap otherwise.  Every idle loop polls with the same
+   period, so in practice every poll timer is appended.  The heap holds
+   every other event.  One scheduled
+   at or before [now] is clamped to [now], and its fresh seq puts it
+   after every entry already due then.
 
-   A pop takes the earlier of the heap's root and the poll lane's head,
-   by (time, seq), if that one is due at [now]; otherwise the same-instant
-   lane's head; otherwise that earlier entry.  That is exactly (time, seq)
-   order:
-   - The same-instant lane's entries all sit at [now], in push order, so
-     in seq order.
+   A pop takes the lesser of the heap's root and the poll lane's head, by
+   (time, seq).  That is exactly (time, seq) order:
    - The poll lane's entries arrive in (time, seq) order: each one is
      due no earlier than the one before it, and seqs only grow.  So its
      head is its least entry, and the lesser of two heads is the least
      of both queues.
-   - A heap or poll entry due at [now] was pushed before the clock reached
-     [now] (once it had, the push would have gone to the same-instant
-     lane), so its seq is smaller than every same-instant entry's.
-   - The clock moves only by popping a heap or poll entry, which happens
-     only once the same-instant lane is empty, so that lane never holds
-     an instant earlier than [now].
-   - A timer that fires a parked coroutine's wakener queues the wake in
-     the same-instant lane.  If that lane is empty and neither the
-     heap's root nor the poll lane's head is due at [now], the wake is
-     what the rule above pops next, so the timer's dispatch runs it
-     there and then ({!fire}), with the count and budget check it would
-     have had.  It takes no seq: seqs only order queued entries,
-     and it is never queued.  A controlled pop would have popped that
-     wake alone, with no choice to offer, so an explorer sees the same.
-   Same-instant events and polls thus skip the heap's sift-up and
-   sift-down, most wakes skip every queue, and the event stream is the
-   one a heap alone would give.
+   - A timer that fires a parked coroutine's wakener queues the wake at
+     [now].  If neither the heap's root nor the poll lane's head is due
+     at [now], the wake is what the rule above pops next, so the timer's
+     dispatch runs it there and then ({!fire}), with the count and
+     budget check it would have had.  It takes no seq: seqs only order
+     queued entries, and it is never queued.  A controlled pop would
+     have popped that wake alone, with no choice to offer, so an
+     explorer sees the same.
+   Polls thus skip the heap's sift-up and sift-down, most wakes skip
+   every queue, and the event stream is the one a heap alone would give.
 
    An idle loop that parks through {!idle_suspension} leaves the engine a
    [quiet] predicate.  When its wake is dispatched and the predicate says
@@ -52,20 +40,20 @@
    continue and perform pair is skipped.
 
    Most events are such polls, in runs: between two other events, every
-   idle CPU polls again and again.  So with no explorer attached and the
-   same-instant lane empty, [step] and [run_until] first re-arm the run
-   at the poll lane's head in place ({!rearm_quiet_polls}): pop the
-   timer, count it and its wake, settle, and push the same cell back one
-   period later, with no wakener taken, no wake queued and nothing
-   allocated.  That is exactly what dispatching each poll would do:
+   idle CPU polls again and again.  So with no explorer attached, [step]
+   and [run_until] first re-arm the run at the poll lane's head in place
+   ({!rearm_quiet_polls}): pop the timer, count it and its wake, settle,
+   and push the same cell back one period later, with no wakener taken,
+   no wake queued and nothing allocated.  That is exactly what
+   dispatching each poll would do:
    - A timer's pop only takes its wakener and queues the wake, so polls
      tied at one instant, which would pop timer, timer, wake, wake, can be
      handled timer and wake, timer and wake: nothing reads a wakener's
      state between them, and the budget check reserves room for the whole
      tied run, so it cannot trip between two orders that differ.
-   - A head strictly earlier than the heap's root, with the same-instant
-     lane empty, is the next event, and its wake would run in its own
-     dispatch: no other event runs between the timer and its wake.  A
+   - A head strictly earlier than the heap's root is the next event, and
+     its wake would run in its own dispatch: no other event runs between
+     the timer and its wake.  A
      heap entry at the same instant would run between them.
    - A loop parked on an unfired wakener [w] has [cpu.idle] true,
      [sleep_dt] equal to its period and [sleeper == w], written by its
@@ -95,14 +83,12 @@
    remembered-set entry per store, which costs more than letting the
    minor collector reclaim dead three-word cells for free. *)
 
-(* A FIFO ring of (seq, payload) entries, growable, pushed in
-   (time, seq) order so the head is always the least.  The engine keeps
-   two.  The same-instant lane's entries all sit at [now], so it stores no
-   times.  The poll lane is timed: it also stores each entry's time. *)
+(* The poll lane: a FIFO ring of (time, seq, payload) entries, growable,
+   pushed in (time, seq) order so the head is always the least. *)
 module Lane = struct
   type 'a t = {
     mutable evs : 'a array;
-    mutable times : float array; (* empty unless the ring is timed *)
+    mutable times : float array;
     mutable seqs : int array;
     mutable head : int; (* index of the oldest entry *)
     mutable len : int;
@@ -110,10 +96,10 @@ module Lane = struct
   }
 
   (* [capacity] is a power of two: indices wrap with a mask. *)
-  let create ?(timed = false) ~capacity dummy =
+  let create ~capacity dummy =
     {
       evs = Array.make capacity dummy;
-      times = (if timed then Array.make capacity 0.0 else [||]);
+      times = Array.make capacity 0.0;
       seqs = Array.make capacity 0;
       head = 0;
       len = 0;
@@ -132,28 +118,24 @@ module Lane = struct
       done;
       b
     in
-    if Array.length q.times > 0 then q.times <- unroll q.times 0.0;
+    q.times <- unroll q.times 0.0;
     q.seqs <- unroll q.seqs 0;
     (* last: [slot] wraps with the length of [evs] *)
     q.evs <- unroll q.evs q.dummy;
     q.head <- 0
 
-  let push q seq ev =
+  (* Append an entry; [time] must be at or after the tail's.  Inlined, so
+     the time reaches the array unboxed. *)
+  let[@inline] push q time seq ev =
     if q.len = Array.length q.evs then grow q;
     let i = slot q q.len in
-    q.evs.(i) <- ev;
+    q.times.(i) <- time;
     q.seqs.(i) <- seq;
+    q.evs.(i) <- ev;
     q.len <- q.len + 1
 
-  (* A timed ring's push; [time] must be at or after the tail's.  Inlined,
-     so the time reaches the array unboxed. *)
-  let[@inline] push_timed q time seq ev =
-    if q.len = Array.length q.evs then grow q;
-    q.times.(slot q q.len) <- time;
-    push q seq ev
-
-  (* The head's key, the tail's time; the ring must be non-empty, and
-     timed for a time. *)
+  (* The head's key and payload, the tail's time; the ring must be
+     non-empty. *)
   let[@inline] head_time q = q.times.(q.head)
   let[@inline] head_seq q = q.seqs.(q.head)
   let[@inline] head_ev q = q.evs.(q.head)
@@ -173,19 +155,8 @@ module Lane = struct
   let iter f q =
     for j = 0 to q.len - 1 do
       let i = slot q j in
-      f q.seqs.(i) q.evs.(i)
+      f q.times.(i) q.seqs.(i) q.evs.(i)
     done
-
-  (* The [j]th oldest entry's time and payload. *)
-  let time_at q j = q.times.(slot q j)
-  let ev_at q j = q.evs.(slot q j)
-
-  let clear q =
-    for j = 0 to q.len - 1 do
-      q.evs.(slot q j) <- q.dummy
-    done;
-    q.head <- 0;
-    q.len <- 0
 end
 
 (* Diagnostic payload for a blown event budget: when it happened, how much
@@ -262,8 +233,7 @@ type t = {
   mutable events : int; (* total processed, for runaway detection *)
   mutable events_flushed : int; (* portion already added to the global *)
   mutable max_events : int;
-  heap : ev Heap.t; (* events for later instants, polls aside *)
-  lane : ev Lane.t; (* events for the current instant, in seq order *)
+  heap : ev Heap.t; (* every event but the poll lane's *)
   polls : ev Lane.t; (* idle poll timers, about one per CPU *)
   prng : Prng.t;
   mutable live : int; (* spawned coroutines not yet finished *)
@@ -304,8 +274,7 @@ let create ?(seed = 0x5EEDL) ?(max_events = 200_000_000) () =
     events_flushed = 0;
     max_events;
     heap = Heap.create ~dummy ();
-    lane = Lane.create ~capacity:64 dummy;
-    polls = Lane.create ~timed:true ~capacity:16 dummy;
+    polls = Lane.create ~capacity:16 dummy;
     prng = Prng.create seed;
     live = 0;
     metrics;
@@ -322,15 +291,14 @@ let now t = t.now
 let prng t = t.prng
 let live t = t.live
 let events_processed t = t.events
-let pending t = Heap.length t.heap + t.lane.len + t.polls.len
+let pending t = Heap.length t.heap + t.polls.len
 
 (* All schedule paths funnel through here so (time clamp, seq assignment,
    queue order) are identical whatever the event shape.  A time at or
-   before [now] is clamped to [now], which is the same-instant lane. *)
+   before [now] is clamped to [now]. *)
 let[@inline] push_ev t time ev =
   t.seq <- t.seq + 1;
-  if time <= t.now then Lane.push t.lane t.seq ev
-  else Heap.push t.heap time t.seq ev
+  Heap.push t.heap (if time <= t.now then t.now else time) t.seq ev
 
 let schedule t counter time thunk = push_ev t time (Ev_thunk (counter, thunk))
 
@@ -397,7 +365,7 @@ let poll_after t dt w =
   let p = t.polls in
   if time > t.now && (p.len = 0 || time >= Lane.tail_time p) then begin
     t.seq <- t.seq + 1;
-    Lane.push_timed p time t.seq (Ev_timer (t.c_after, w))
+    Lane.push p time t.seq (Ev_timer (t.c_after, w))
   end
   else wake_after t dt w
 
@@ -496,30 +464,26 @@ let[@inline] next_time t =
 (* Pending events as (delay-from-now, schedule label) pairs, sorted.
    Part of the model checker's state fingerprint: together with the
    machine snapshot, the scheduled future determines the rest of a run
-   up to the remaining choice points.  Same-instant entries are due now. *)
+   up to the remaining choice points. *)
 let pending_summary t =
   let acc = ref [] in
-  let add delta ev =
+  let add time _seq ev =
     let label = Instrument.Metrics.counter_name (counter_of_ev ev) in
-    acc := (delta, label) :: !acc
+    acc := (time -. t.now, label) :: !acc
   in
-  Heap.iter_entries (fun time _seq ev -> add (time -. t.now) ev) t.heap;
-  for j = 0 to t.polls.len - 1 do
-    add (Lane.time_at t.polls j -. t.now) (Lane.ev_at t.polls j)
-  done;
-  Lane.iter (fun _seq ev -> add 0.0 ev) t.lane;
+  Heap.iter_entries add t.heap;
+  Lane.iter add t.polls;
   List.sort compare !acc
 
 (* Controlled pop under an attached explorer: collect every event tied
    at the next instant, offer the explorer a choice among the *live*
-   ones, and return the losers to the same-instant lane.  The ties are
-   the heap's and the poll lane's entries at that instant, merged by
-   seq, then the same-instant lane's (when that lane is non-empty the
-   instant is [now]), which is (time, seq) order: FIFO is alternative 0.
-   The losers stay due at that instant, which is [now] once the clock is
-   set, so they go back to the same-instant lane in seq order.  The clock
-   moves only after the choice: the fingerprints the explorer takes
-   inside [choose] measure pending delays from the instant before.
+   ones, and push the losers back.  The ties are the heap's and the
+   poll lane's entries at that instant, merged by seq, which is (time,
+   seq) order: FIFO is alternative 0.  The losers stay due at that
+   instant, so they go back into the heap at it, each with its own seq,
+   and so pop in seq order.  The clock moves only after the choice: the
+   fingerprints the explorer takes inside [choose] measure pending
+   delays from the instant before.
 
    An expired timer whose wakener already fired is a pure no-op —
    branching on its position would multiply schedules without changing
@@ -528,7 +492,7 @@ let pending_summary t =
    order, when nothing live shares the instant. *)
 let pop_controlled t ex =
   let h = t.heap and p = t.polls in
-  let time = if t.lane.len > 0 then t.now else next_time t in
+  let time = next_time t in
   let ties = ref [] in
   let more = ref true in
   while !more do
@@ -542,8 +506,6 @@ let pop_controlled t ex =
     end
     else more := false
   done;
-  Lane.iter (fun seq ev -> ties := (seq, ev) :: !ties) t.lane;
-  Lane.clear t.lane;
   let ties = List.rev !ties in
   let live =
     List.filter
@@ -560,7 +522,7 @@ let pop_controlled t ex =
         List.nth live c
   in
   t.now <- time;
-  List.iter (fun (seq, ev) -> if seq <> cseq then Lane.push t.lane seq ev) ties;
+  List.iter (fun (seq, ev) -> if seq <> cseq then Heap.push h time seq ev) ties;
   cev
 
 (* Summarise what is still scheduled, by label, most frequent first: the
@@ -577,8 +539,7 @@ let runaway t c =
   let count ev = tick (counter_of_ev ev) in
   tick c;
   Heap.iter_payloads count t.heap;
-  Lane.iter (fun _seq ev -> count ev) t.polls;
-  Lane.iter (fun _seq ev -> count ev) t.lane;
+  Lane.iter (fun _time _seq ev -> count ev) t.polls;
   let pending =
     Hashtbl.fold (fun name n acc -> (name, n) :: acc) tally []
     |> List.sort (fun (na, a) (nb, b) ->
@@ -587,18 +548,10 @@ let runaway t c =
   Runaway
     { runaway_at = t.now; runaway_events = t.events; runaway_pending = pending }
 
-(* Pop the next event.  Heap and poll entries are never earlier than
-   [now], so one due at [now] is the only kind that precedes the
-   same-instant lane's head. *)
+(* Pop the next event: the lesser of the heap's root and the poll lane's
+   head. *)
 let pop t =
-  let from_heap = heap_first t in
-  if
-    t.lane.len > 0
-    &&
-    if from_heap then Heap.root_time t.heap > t.now
-    else t.polls.len = 0 || Lane.head_time t.polls > t.now
-  then Lane.pop t.lane
-  else if from_heap then begin
+  if heap_first t then begin
     let time = Heap.root_time t.heap in
     let ev = Heap.pop_payload t.heap in
     t.now <- time;
@@ -611,12 +564,10 @@ let pop t =
     ev
   end
 
-(* Whether nothing is due at [now]: the same-instant lane is empty, and
-   the earlier of the heap's root and the poll lane's head, if any, is
-   due later. *)
+(* Whether nothing is due at [now]: the earlier of the heap's root and the
+   poll lane's head, if any, is due later. *)
 let[@inline] none_due_now t =
-  t.lane.len = 0
-  && ((Heap.is_empty t.heap && t.polls.len = 0) || next_time t > t.now)
+  (Heap.is_empty t.heap && t.polls.len = 0) || next_time t > t.now
 
 (* Count one event under its label's counter [c] and charge it to the
    budget.  An event that trips the budget does not run. *)
@@ -628,7 +579,7 @@ let[@inline] count t c =
 (* A timer's expiry.  When nothing else is due at [now], the wake it
    would queue would be the next event to pop, so it runs here instead:
    the same count and budget check as that event, with no
-   allocation and no lane traffic.  An explorer would pop that wake
+   allocation and no heap traffic.  An explorer would pop that wake
    alone, without a choice, so it sees no difference. *)
 let fire t w =
   if not (none_due_now t) then wake t w
@@ -655,7 +606,7 @@ let dispatch t =
    room in the budget for two events per poll-lane entry. *)
 let[@inline] poll_next t limit =
   let p = t.polls in
-  p.len > 0 && t.lane.len = 0
+  p.len > 0
   && Lane.head_time p <= limit
   && (Heap.is_empty t.heap || Lane.head_time p < Heap.root_time t.heap)
   && t.events + (2 * p.len) <= t.max_events
@@ -694,7 +645,7 @@ let rearm_quiet_polls t limit =
           let next = time +. idle.period in
           if next > time && (p.len = 0 || next >= Lane.tail_time p) then begin
             t.seq <- t.seq + 1;
-            Lane.push_timed p next t.seq ev
+            Lane.push p next t.seq ev
           end
           else idle.park w
         end
@@ -711,7 +662,7 @@ let[@inline] rearm t limit =
 
 let step t =
   rearm t infinity;
-  if Heap.is_empty t.heap && t.lane.len = 0 && t.polls.len = 0 then false
+  if Heap.is_empty t.heap && t.polls.len = 0 then false
   else begin
     dispatch t;
     true
@@ -729,9 +680,7 @@ let run_until t limit =
   let continue_ = ref true in
   while !continue_ do
     rearm t limit;
-    (* same-instant entries are due now, so within the limit *)
-    if t.lane.len > 0 then dispatch t
-    else if Heap.is_empty t.heap && t.polls.len = 0 then continue_ := false
+    if Heap.is_empty t.heap && t.polls.len = 0 then continue_ := false
     else if next_time t > limit then begin
       t.now <- limit;
       continue_ := false

@@ -142,11 +142,12 @@ val wake_after : t -> float -> wakener -> unit
 
 val poll_after : t -> float -> wakener -> unit
 (** {!wake_after} for an idle loop's poll timer: the same event at the
-    same seq, queued in a FIFO ring instead of the heap when it is due
-    no earlier than the ring's last entry (otherwise in the heap).  The
-    pop order is the same either way; a caller whose timers are due in
-    non-decreasing order, such as loops polling at one period, keeps
-    them all out of the heap. *)
+    same seq, queued in the poll lane, a FIFO ring, instead of the event
+    heap when it is due no earlier than the ring's last entry (otherwise
+    in the heap).  Those are the engine's two queues, and a pop takes the
+    lesser of their heads, so the pop order is the same either way; a
+    caller whose timers are due in non-decreasing order, such as loops
+    polling at one period, keeps them all out of the heap. *)
 
 val no_wakener : wakener
 (** A pre-fired sentinel: {!wake} on it is a no-op.  Lets hot records
@@ -169,12 +170,12 @@ val step : t -> bool
     same.  An attached explorer would have been offered no choice for
     that wake, so it sees the same decisions too.
 
-    With no explorer attached and nothing queued for the current
-    instant, a step first re-arms the run of quiet idle polls at the poll
-    lane's head, in place: each poll due strictly before every other
-    pending event, whose loop ({!idle_suspension}) is still parked on it
-    and [quiet], counts its timer and its wake, runs [settle], and is
-    armed again [period] later, on the same wakener, with no wake queued.
+    With no explorer attached, a step first re-arms the run of quiet idle
+    polls at the poll lane's head ({!poll_after}), in place: each poll
+    due strictly before every other pending event, whose loop
+    ({!idle_suspension}) is still parked on it and [quiet], counts its
+    timer and its wake, runs [settle], and is armed again [period]
+    later, on the same wakener, with no wake queued.
     Such a step processes many events, all of which would have been next
     anyway and none of which resumes a coroutine. *)
 

@@ -400,8 +400,8 @@ let queue_order_matches_reference =
 (* The same, with poll timers: most are armed one period of 2.5 ahead, as
    idle loops arm them, so they queue in the poll lane, tie with heap
    entries pushed for the same instant and straddle [run_until] limits.
-   The rest are due now, or earlier or later than the lane's tail, and
-   so go to the same-instant lane or the heap. *)
+   The rest are armed 0, 1 or 5 ahead; those due now or before the
+   lane's tail go to the heap. *)
 let poll_order_matches_reference =
   let open QCheck.Gen in
   let dt = frequency [ (3, return 0.0); (1, oneofl [ 1.0; 2.5; 5.0 ]) ] in
@@ -522,11 +522,12 @@ let test_explorer_tie_across_queues () =
   check_run 0 [ "W"; "H"; "Z" ];
   check_run 1 [ "W"; "Z"; "H" ]
 
-(* A tie at T = 10 across all three queues: H (pushed at 0) and H2
-   (pushed at 8) in the heap, the poll timer P (armed at 6 by a coroutine,
-   one period of 4 ahead) in the poll lane, Z (pushed at 10) in the
-   same-instant lane.  The explorer is offered them in seq order, H, P,
-   H2, Z, so FIFO is alternative 0, and the losers return in seq order.
+(* A tie at T = 10 across both queues and the instant's own pushes: H
+   (pushed at 0), H2 (pushed at 8) and Z (pushed at 10) in the heap, the
+   poll timer P (armed at 6 by a coroutine, one period of 4 ahead) in the
+   poll lane.  The explorer is offered them in seq order, H, P, H2, Z, so
+   FIFO is alternative 0, and the losers go back into the heap with their
+   own seqs, so they pop in seq order.
    P's coroutine logs on the wake its timer pushes, which queues behind
    the losers, so "P" always comes last. *)
 let test_explorer_tie_three_queues () =
@@ -613,7 +614,7 @@ let test_fusion_poll_tie () =
   Alcotest.(check (list string))
     "poll tie first" [ "A after 2 timers"; "B" ] (List.rev !order)
 
-(* An event already in the same-instant lane when the timer fires runs
+(* An event already queued for the instant when the timer fires runs
    before the coroutine the timer wakes. *)
 let test_fusion_lane_busy () =
   let eng = Sim.Engine.create () in
