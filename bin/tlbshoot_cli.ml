@@ -250,13 +250,6 @@ let run_check ~cpus ~depth ~max_schedules ~no_prune ~mutant ~scenario
                 detail);
           exit 0)
   | None -> (
-      let mutant =
-        match Check.Scenario.mutant_of_string mutant with
-        | Ok m -> m
-        | Error msg ->
-            prerr_endline msg;
-            exit 2
-      in
       let t =
         Experiments.Modelcheck.run ~cpus ~depth ~max_schedules
           ~prune:(not no_prune) ~mutant ?scenario ()
@@ -603,13 +596,20 @@ let check_cmd =
              to cross-check the reduction).")
   in
   let mutant_arg =
+    let named =
+      List.map
+        (fun m -> (Check.Scenario.mutant_name m, m))
+        Check.Scenario.mutants
+    in
     Arg.(
-      value & opt string "none"
+      value
+      & opt (enum named) Core.Pmap.No_mutant
       & info [ "mutant" ]
           ~doc:
-            "Seed a protocol bug: none|skip-barrier|\
-             skip-responder-invalidate|skip-generation-bump.  The mutants \
-             must produce counterexamples; the healthy protocol must not.")
+            (Printf.sprintf
+               "Seed a protocol bug: %s.  The mutants must produce \
+                counterexamples; the healthy protocol must not."
+               (doc_alts_enum named)))
   in
   let scenario_arg =
     let named =

@@ -554,17 +554,19 @@ let mutant_name = function
   | Pmap.Skip_responder_invalidate -> "skip-responder-invalidate"
   | Pmap.Skip_generation_bump -> "skip-generation-bump"
 
-let mutant_of_string = function
-  | "none" -> Ok Pmap.No_mutant
-  | "skip-barrier" -> Ok Pmap.Skip_barrier
-  | "skip-responder-invalidate" -> Ok Pmap.Skip_responder_invalidate
-  | "skip-generation-bump" -> Ok Pmap.Skip_generation_bump
-  | other ->
+let mutants =
+  Pmap.
+    [
+      No_mutant; Skip_barrier; Skip_responder_invalidate; Skip_generation_bump;
+    ]
+
+let mutant_of_string name =
+  match List.find_opt (fun m -> mutant_name m = name) mutants with
+  | Some m -> Ok m
+  | None ->
       Error
-        (Printf.sprintf
-           "unknown mutant %S \
-            (none|skip-barrier|skip-responder-invalidate|skip-generation-bump)"
-           other)
+        (Printf.sprintf "unknown mutant %S (%s)" name
+           (String.concat "|" (List.map mutant_name mutants)))
 
 (* --- one schedule ------------------------------------------------------- *)
 

@@ -87,6 +87,11 @@ val fingerprint : Vm.Machine.t -> string
     explorer's [--no-prune] mode cross-checks it. *)
 
 val mutant_name : Core.Pmap.mutant -> string
-(** ["none"], ["skip-barrier"] or ["skip-responder-invalidate"]. *)
+(** ["none"], ["skip-barrier"], ["skip-responder-invalidate"] or
+    ["skip-generation-bump"]. *)
+
+val mutants : Core.Pmap.mutant list
+(** Every mutant, [No_mutant] first: the values of [tlbshoot check
+    --mutant], by {!mutant_name}. *)
 
 val mutant_of_string : string -> (Core.Pmap.mutant, string) result

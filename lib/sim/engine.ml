@@ -42,9 +42,10 @@
    Most events are such polls, in runs: between two other events, every
    idle CPU polls again and again.  So with no explorer attached, [step]
    and [run_until] first re-arm the run at the poll lane's head in place
-   ({!rearm_quiet_polls}): pop the timer, count it and its wake, settle,
-   and push the same cell back one period later, with no wakener taken,
-   no wake queued and nothing allocated.  That is exactly what
+   ({!rearm_quiet_polls}): count the timer and its wake, settle, and
+   rotate the same cell to the ring's tail one period later, with no
+   wakener taken, no wake queued, nothing allocated and no pointer
+   stored.  That is exactly what
    dispatching each poll would do:
    - A timer's pop only takes its wakener and queues the wake, so polls
      tied at one instant, which would pop timer, timer, wake, wake, can be
@@ -77,28 +78,41 @@
    traffic that dominates every run) carry their wakener or continuation
    directly, so scheduling them allocates one small short-lived cell and
    dispatching them allocates nothing.  Only [at]/[after]/[spawn] — the
-   cold, user-facing sites — carry a thunk.  A free-list cell pool was
-   tried and measured *slower*: recycled cells get promoted to the major
-   heap, so refilling them with young pointers pays a write barrier and
-   remembered-set entry per store, which costs more than letting the
-   minor collector reclaim dead three-word cells for free. *)
+   cold, user-facing sites — carry a thunk.  Both queues keep their
+   payloads in a slab and move only keys and slab indices ({!Heap},
+   {!Lane}): the arrays live in the major heap, where every pointer
+   store pays a write barrier, so a cell is stored once when it is
+   queued and the slot cleared once when it leaves, however far it
+   sifts, and a quiet poll's cell stays put while its key rotates.  A
+   free-list cell pool was tried and measured *slower*: recycled cells
+   get promoted to the major heap, so refilling them with young pointers
+   pays a write barrier and remembered-set entry per store, which costs
+   more than letting the minor collector reclaim dead three-word cells
+   for free. *)
 
 (* The poll lane: a FIFO ring of (time, seq, payload) entries, growable,
-   pushed in (time, seq) order so the head is always the least. *)
+   pushed in (time, seq) order so the head is always the least.  It uses
+   {!Heap}'s indirection: the keys and a slab index live in the ring, by
+   ring position, and the payloads in a slab.  [ids] is a permutation of
+   [0 .. capacity - 1] whose positions past the tail hold the free slab
+   indices, so moving an entry within the ring ({!rotate}) stores no
+   pointer, and a push or pop stores one. *)
 module Lane = struct
   type 'a t = {
-    mutable evs : 'a array;
+    mutable evs : 'a array; (* the slab *)
+    mutable ids : int array; (* ring position -> slab index *)
     mutable times : float array;
     mutable seqs : int array;
-    mutable head : int; (* index of the oldest entry *)
+    mutable head : int; (* position of the oldest entry *)
     mutable len : int;
     dummy : 'a;
   }
 
-  (* [capacity] is a power of two: indices wrap with a mask. *)
+  (* [capacity] is a power of two: positions wrap with a mask. *)
   let create ~capacity dummy =
     {
       evs = Array.make capacity dummy;
+      ids = Array.init capacity Fun.id;
       times = Array.make capacity 0.0;
       seqs = Array.make capacity 0;
       head = 0;
@@ -106,11 +120,13 @@ module Lane = struct
       dummy;
     }
 
-  let[@inline] slot q j = (q.head + j) land (Array.length q.evs - 1)
+  let[@inline] slot q j = (q.head + j) land (Array.length q.ids - 1)
 
-  (* Double the ring, unrolling it so the oldest entry lands at index 0. *)
+  (* Double the ring, unrolling it so the oldest entry lands at position
+     0.  The ring is full, so [ids] is a permutation of [0 .. n - 1]; the
+     new slab indices [n .. 2n - 1] are the free ones. *)
   let grow q =
-    let n = Array.length q.evs in
+    let n = Array.length q.ids in
     let unroll a fill =
       let b = Array.make (2 * n) fill in
       for j = 0 to q.len - 1 do
@@ -120,42 +136,63 @@ module Lane = struct
     in
     q.times <- unroll q.times 0.0;
     q.seqs <- unroll q.seqs 0;
-    (* last: [slot] wraps with the length of [evs] *)
-    q.evs <- unroll q.evs q.dummy;
+    q.evs <- Array.append q.evs (Array.make n q.dummy);
+    (* last: [slot] wraps with the length of [ids] *)
+    let ids = unroll q.ids 0 in
+    for j = n to (2 * n) - 1 do
+      ids.(j) <- j
+    done;
+    q.ids <- ids;
     q.head <- 0
 
   (* Append an entry; [time] must be at or after the tail's.  Inlined, so
      the time reaches the array unboxed. *)
   let[@inline] push q time seq ev =
-    if q.len = Array.length q.evs then grow q;
+    if q.len = Array.length q.ids then grow q;
     let i = slot q q.len in
     q.times.(i) <- time;
     q.seqs.(i) <- seq;
-    q.evs.(i) <- ev;
+    q.evs.(q.ids.(i)) <- ev;
     q.len <- q.len + 1
 
   (* The head's key and payload, the tail's time; the ring must be
      non-empty. *)
   let[@inline] head_time q = q.times.(q.head)
   let[@inline] head_seq q = q.seqs.(q.head)
-  let[@inline] head_ev q = q.evs.(q.head)
+  let[@inline] head_ev q = q.evs.(q.ids.(q.head))
   let[@inline] tail_time q = q.times.(slot q (q.len - 1))
 
   (* Remove the oldest entry and return its payload; the ring must be
-     non-empty. *)
+     non-empty.  Its slab index stays at its position, now past the
+     tail. *)
   let pop q =
-    let i = q.head in
-    let ev = q.evs.(i) in
-    q.evs.(i) <- q.dummy (* release the payload reference *);
+    let id = q.ids.(q.head) in
+    let ev = q.evs.(id) in
+    q.evs.(id) <- q.dummy (* release the payload reference *);
     q.head <- slot q 1;
     q.len <- q.len - 1;
     ev
+
+  (* Move the oldest entry to the tail with the key [(time, seq)], which
+     must be at or after the tail's: a pop and a push of the same payload,
+     storing no pointer.  The head's slab index swaps places with the
+     free one just past the tail (the same position when the ring is
+     full), so the ring's positions stay a permutation.  Inlined, so the
+     time reaches the array unboxed. *)
+  let[@inline] rotate q time seq =
+    let i = q.head and j = slot q q.len in
+    let id = q.ids.(i) in
+    q.ids.(i) <- q.ids.(j);
+    q.ids.(j) <- id;
+    q.times.(j) <- time;
+    q.seqs.(j) <- seq;
+    q.head <- slot q 1
 
   (* Oldest first, i.e. in (time, seq) order. *)
   let iter f q =
     for j = 0 to q.len - 1 do
       let i = slot q j in
-      f q.times.(i) q.seqs.(i) q.evs.(i)
+      f q.times.(i) q.seqs.(i) q.evs.(q.ids.(i))
     done
 end
 
@@ -227,8 +264,13 @@ type _ Effect.t +=
   | Suspend : (wakener -> unit) -> unit Effect.t
   | Suspend_idle : idle -> unit Effect.t
 
+(* The clock, in a float-only record so that it is stored unboxed: a
+   float field of [t] would be a pointer to a box, and every move of the
+   clock would allocate one and pay a write barrier. *)
+type clock = { mutable now : float }
+
 type t = {
-  mutable now : float;
+  clock : clock;
   mutable seq : int;
   mutable events : int; (* total processed, for runaway detection *)
   mutable events_flushed : int; (* portion already added to the global *)
@@ -268,7 +310,7 @@ let create ?(seed = 0x5EEDL) ?(max_events = 200_000_000) () =
   let c_at = Instrument.Metrics.counter metrics "at" in
   let dummy = Ev_thunk (c_at, ignore) in
   {
-    now = 0.0;
+    clock = { now = 0.0 };
     seq = 0;
     events = 0;
     events_flushed = 0;
@@ -287,7 +329,7 @@ let create ?(seed = 0x5EEDL) ?(max_events = 200_000_000) () =
     c_spawn = Instrument.Metrics.counter metrics "spawn";
   }
 
-let now t = t.now
+let now t = t.clock.now
 let prng t = t.prng
 let live t = t.live
 let events_processed t = t.events
@@ -298,7 +340,7 @@ let pending t = Heap.length t.heap + t.polls.len
    before [now] is clamped to [now]. *)
 let[@inline] push_ev t time ev =
   t.seq <- t.seq + 1;
-  Heap.push t.heap (if time <= t.now then t.now else time) t.seq ev
+  Heap.push t.heap (if time <= t.clock.now then t.clock.now else time) t.seq ev
 
 let schedule t counter time thunk = push_ev t time (Ev_thunk (counter, thunk))
 
@@ -313,7 +355,7 @@ let counter_of t = function
 let at ?(label = "at") t time thunk = schedule t (counter_of t label) time thunk
 
 let after ?(label = "after") t dt thunk =
-  schedule t (counter_of t label) (t.now +. dt) thunk
+  schedule t (counter_of t label) (t.clock.now +. dt) thunk
 
 let metrics t = t.metrics
 let label_counts t = Instrument.Metrics.counter_values t.metrics
@@ -349,21 +391,21 @@ let[@inline] take w =
 let wake t w =
   match take w with
   | Gone -> ()
-  | (Cont _ | Idle _) as c -> push_ev t t.now (Ev_wake (t.c_wake, c))
+  | (Cont _ | Idle _) as c -> push_ev t t.clock.now (Ev_wake (t.c_wake, c))
 
 (* Timer-driven wake: schedules an event that, when it pops, wakes [w]
    (a no-op if something else woke it first).  Equivalent to
    [after t dt (fun () -> wake t w)] without the closure. *)
 let wake_after t dt w =
-  push_ev t (t.now +. dt) (Ev_timer (t.c_after, w))
+  push_ev t (t.clock.now +. dt) (Ev_timer (t.c_after, w))
 
 (* [wake_after] through the poll lane, when the order allows it: a timer
    due after [now] and no earlier than the lane's tail keeps the lane in
    (time, seq) order.  Any other goes where [wake_after] would put it. *)
 let poll_after t dt w =
-  let time = t.now +. dt in
+  let time = t.clock.now +. dt in
   let p = t.polls in
-  if time > t.now && (p.len = 0 || time >= Lane.tail_time p) then begin
+  if time > t.clock.now && (p.len = 0 || time >= Lane.tail_time p) then begin
     t.seq <- t.seq + 1;
     Lane.push p time t.seq (Ev_timer (t.c_after, w))
   end
@@ -375,7 +417,7 @@ type delay_slot = { mutable dt : float }
 
 let spawn t ?(name = "coroutine") fn =
   t.live <- t.live + 1;
-  let started = t.now in
+  let started = t.clock.now in
   let open Effect.Deep in
   (* One handler per effect per fiber: [effc] leaves the effect's argument
      in a slot and returns the fiber's shared handler, so a perform
@@ -389,7 +431,7 @@ let spawn t ?(name = "coroutine") fn =
   let on_delay =
     Some
       (fun (k : (unit, unit) continuation) ->
-        push_ev t (t.now +. delay_arg.dt) (Ev_resume (t.c_delay, k)))
+        push_ev t (t.clock.now +. delay_arg.dt) (Ev_resume (t.c_delay, k)))
   in
   let on_suspend =
     Some
@@ -405,7 +447,7 @@ let spawn t ?(name = "coroutine") fn =
             match t.tracer with
             | Some tr ->
                 Instrument.Trace.emit tr ~name:"engine.coroutine" ~cpu:(-1)
-                  ~at:started ~dur:(t.now -. started)
+                  ~at:started ~dur:(t.clock.now -. started)
                   ~attrs:[ ("name", Instrument.Trace.Str name) ]
                   ()
             | None -> ());
@@ -427,7 +469,7 @@ let spawn t ?(name = "coroutine") fn =
             | _ -> None);
       }
   in
-  schedule t t.c_spawn t.now fiber
+  schedule t t.c_spawn t.clock.now fiber
 
 (* Deliver a wake.  A quiet idle loop is re-parked where it stands: its
    settle and park make the writes, and arm the timer, that resuming it
@@ -469,7 +511,7 @@ let pending_summary t =
   let acc = ref [] in
   let add time _seq ev =
     let label = Instrument.Metrics.counter_name (counter_of_ev ev) in
-    acc := (time -. t.now, label) :: !acc
+    acc := (time -. t.clock.now, label) :: !acc
   in
   Heap.iter_entries add t.heap;
   Lane.iter add t.polls;
@@ -521,7 +563,7 @@ let pop_controlled t ex =
         let c = Explore.choose ex Explore.Tie (List.length live) in
         List.nth live c
   in
-  t.now <- time;
+  t.clock.now <- time;
   List.iter (fun (seq, ev) -> if seq <> cseq then Heap.push h time seq ev) ties;
   cev
 
@@ -546,7 +588,11 @@ let runaway t c =
            if a <> b then compare b a else compare na nb)
   in
   Runaway
-    { runaway_at = t.now; runaway_events = t.events; runaway_pending = pending }
+    {
+      runaway_at = t.clock.now;
+      runaway_events = t.events;
+      runaway_pending = pending;
+    }
 
 (* Pop the next event: the lesser of the heap's root and the poll lane's
    head. *)
@@ -554,20 +600,20 @@ let pop t =
   if heap_first t then begin
     let time = Heap.root_time t.heap in
     let ev = Heap.pop_payload t.heap in
-    t.now <- time;
+    t.clock.now <- time;
     ev
   end
   else begin
     let time = Lane.head_time t.polls in
     let ev = Lane.pop t.polls in
-    t.now <- time;
+    t.clock.now <- time;
     ev
   end
 
 (* Whether nothing is due at [now]: the earlier of the heap's root and the
    poll lane's head, if any, is due later. *)
 let[@inline] none_due_now t =
-  (Heap.is_empty t.heap && t.polls.len = 0) || next_time t > t.now
+  (Heap.is_empty t.heap && t.polls.len = 0) || next_time t > t.clock.now
 
 (* Count one event under its label's counter [c] and charge it to the
    budget.  An event that trips the budget does not run. *)
@@ -616,11 +662,13 @@ let[@inline] poll_next t limit =
    than [limit], and is the poll timer of an idle loop still parked on it
    whose next iteration would be quiet, the head is what [dispatch] would
    pop, and its wake would run in the timer's dispatch and re-park the
-   loop ({!fire}, {!resume}).  So this pops it, counts the timer and the
-   wake, settles, and pushes the same cell back one period later with a
-   fresh seq: the loop stays parked on the same wakener, a stand-in for
-   the fresh one (the header says why that is exact).  A head that would
-   go back out of the ring's order is re-parked through [park].
+   loop ({!fire}, {!resume}).  So this counts the timer and the wake,
+   settles, and rotates the same cell to the ring's tail one period later
+   with a fresh seq, which is popping it and pushing it back without the
+   two pointer stores: the loop stays parked on the same wakener, a
+   stand-in for the fresh one (the header says why that is exact).  A
+   head that would go back out of the ring's order is popped and
+   re-parked through [park].
 
    The budget check reserves two events for every entry in the poll lane,
    not just the head's two: a run tied at one instant then fits whole, so
@@ -635,19 +683,24 @@ let rearm_quiet_polls t limit =
     match Lane.head_ev p with
     | Ev_timer (c, ({ fired = false; cont = Idle (_, idle) } as w)) ->
         let time = Lane.head_time p in
-        t.now <- time;
+        t.clock.now <- time;
         if idle.quiet () then begin
-          let ev = Lane.pop p in
           Instrument.Metrics.inc c;
           Instrument.Metrics.inc t.c_wake;
           t.events <- t.events + 2;
           idle.settle ();
+          (* the head is still queued: with [next] after [time], the ring
+             keeps its order iff [next] is no earlier than the tail,
+             which is the head itself when it is alone *)
           let next = time +. idle.period in
-          if next > time && (p.len = 0 || next >= Lane.tail_time p) then begin
+          if next > time && next >= Lane.tail_time p then begin
             t.seq <- t.seq + 1;
-            Lane.push p next t.seq ev
+            Lane.rotate p next t.seq
           end
-          else idle.park w
+          else begin
+            ignore (Lane.pop p);
+            idle.park w
+          end
         end
         else more := false
     | _ -> more := false
@@ -675,14 +728,14 @@ let run t =
   flush_events t
 
 let run_until t limit =
-  if limit < t.now then
+  if limit < t.clock.now then
     invalid_arg "Engine.run_until: limit is before the current time";
   let continue_ = ref true in
   while !continue_ do
     rearm t limit;
     if Heap.is_empty t.heap && t.polls.len = 0 then continue_ := false
     else if next_time t > limit then begin
-      t.now <- limit;
+      t.clock.now <- limit;
       continue_ := false
     end
     else dispatch t

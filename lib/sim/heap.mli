@@ -2,8 +2,12 @@
 
     Keys are [(time, seq)] pairs compared lexicographically, giving FIFO
     order among events scheduled for the same simulated instant.  Storage
-    is structure-of-arrays (unboxed times, seqs, payloads), so pushing an
-    event allocates nothing. *)
+    is structure-of-arrays, so pushing an event allocates nothing.  It is
+    an index heap: the keys and a slab index per entry move with the
+    sifts, by heap position, while each payload stays where its push
+    wrote it, in a slab.  The slab indices form a permutation of the
+    capacity whose positions past {!length} hold the free ones.  So a
+    push and a pop each store one pointer, and the sifts store none. *)
 
 type 'a t
 

@@ -135,6 +135,59 @@ let heap_sorted =
       done;
       !ok)
 
+(* Pushes and pops interleaved past the initial capacity of 64, so [grow]
+   runs with slab indices in use and freed.  Times come from a small set,
+   so keys tie on time and order by seq, and every payload is distinct,
+   so a slab index handed to two live entries shows as a lost payload.
+   After every pop the popped entry is the least (time, seq) of the live
+   ones, and [iter_entries] gives exactly the live multiset. *)
+let heap_interleaved =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun t -> Some t) (oneofl [ 0.0; 1.0; 2.5; 4.0 ]));
+          (1, return None);
+        ])
+  in
+  QCheck.Test.make ~name:"heap push/pop interleaved past a grow" ~count:200
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map
+              (function Some t -> Printf.sprintf "push %g" t | None -> "pop")
+              ops))
+       QCheck.Gen.(list_size (int_range 100 400) op))
+    (fun ops ->
+      let h = Sim.Heap.create ~dummy:(-1) () in
+      let live = ref [] and seq = ref 0 and ok = ref true in
+      let entries () =
+        let acc = ref [] in
+        Sim.Heap.iter_entries (fun t i v -> acc := (t, i, v) :: !acc) h;
+        List.sort compare !acc
+      in
+      let pop () =
+        match List.sort compare !live with
+        | [] -> ()
+        | least :: rest ->
+            if Sim.Heap.pop h <> least then ok := false;
+            live := rest;
+            if entries () <> rest then ok := false
+      in
+      List.iter
+        (function
+          | Some t ->
+              incr seq;
+              (* payload [1000 * seq]: distinct, and unlike the seq *)
+              Sim.Heap.push h t !seq (1000 * !seq);
+              live := (t, !seq, 1000 * !seq) :: !live
+          | None -> pop ())
+        ops;
+      while !live <> [] do
+        pop ()
+      done;
+      !ok && Sim.Heap.is_empty h)
+
 (* ------------------------------------------------------------------ *)
 (* Engine queue order: the engine against a reference built on Sim.Heap
    alone, plus the same-instant edge cases *)
@@ -176,8 +229,11 @@ let n_slots = 3
 (* Idle loops: loop [k] polls until [idle_horizon], logging (100 + k, now)
    for each piece of work and, when it ends, (200 + k, its iteration
    count).  An iteration with no work and before the horizon is quiet:
-   it only counts itself and parks.  Work costs [idle_work] of delay. *)
+   it only counts itself and parks.  Work costs [idle_work] of delay.
+   Most programs run up to [n_loops] loops; the runners have room for
+   [max_loops]. *)
 let n_loops = 3
+let max_loops = 24
 let idle_horizon = 20.0
 let idle_work = 0.5
 
@@ -189,8 +245,8 @@ let run_engine (init, limits) : observed =
   let eng = Sim.Engine.create () in
   let slots = Array.make n_slots Sim.Engine.no_wakener in
   let log = ref [] in
-  let flags = Array.make n_loops 0 and iters = Array.make n_loops 0 in
-  let parks = Array.make n_loops Sim.Engine.no_wakener in
+  let flags = Array.make max_loops 0 and iters = Array.make max_loops 0 in
+  let parks = Array.make max_loops Sim.Engine.no_wakener in
   let idle_loop k period =
     let nap =
       Sim.Engine.idle_suspension
@@ -268,8 +324,8 @@ let run_reference (init, limits) : observed =
   let now = ref 0.0 and seq = ref 0 and events = ref 0 in
   let slots = Array.init n_slots (fun _ -> { fired = true; rest = None }) in
   let log = ref [] in
-  let flags = Array.make n_loops 0 and iters = Array.make n_loops 0 in
-  let parks = Array.init n_loops (fun _ -> { fired = true; rest = None }) in
+  let flags = Array.make max_loops 0 and iters = Array.make max_loops 0 in
+  let parks = Array.init max_loops (fun _ -> { fired = true; rest = None }) in
   let push time ev =
     let time = if time < !now then !now else time in
     incr seq;
@@ -413,16 +469,17 @@ let poll_order_matches_reference =
     (QCheck.make ~print:print_program (gen_program_with ~extra dt))
     (fun prog -> run_engine prog = run_reference prog)
 
-(* The same, with up to [n_loops] idle loops parked through
-   [Engine.idle_suspension], whose [quiet] reads the program's state: the
-   work queued for them and the clock.  Work arrives from thunks, often at
-   a poll's instant, and pokes wake a loop between polls.  The reference
-   resumes every loop on every poll, so the engine's quiet-poll shortcuts
-   must give the same log, clocks, counts and pending events. *)
-let idle_order_matches_reference =
+(* The same, with idle loops parked through [Engine.idle_suspension],
+   whose [quiet] reads the program's state: the work queued for them and
+   the clock.  [loops] draws [(start, period)] per loop, at most
+   [max_loops].  Work arrives from thunks, often at a poll's instant, and
+   pokes wake a loop between polls.  The reference resumes every loop on
+   every poll, so the engine's quiet-poll shortcuts must give the same
+   log, clocks, counts and pending events. *)
+let idle_loops_match_reference ~name ~count ~n loops =
   let open QCheck.Gen in
   let dt = frequency [ (3, return 0.0); (1, oneofl [ 1.0; 2.5; 5.0 ]) ] in
-  let loop = int_bound (n_loops - 1) in
+  let loop = int_bound (n - 1) in
   let extra =
     [
       (3, map (fun k -> Flag k) loop);
@@ -433,10 +490,6 @@ let idle_order_matches_reference =
           (oneofl [ 5.0; 7.5; 10.0; 12.5; 16.0 ])
           loop );
     ]
-  in
-  let loops =
-    list_size (int_range 1 n_loops)
-      (pair (oneofl [ 0.0; 0.0; 1.0; 2.5 ]) (oneofl [ 2.5; 2.5; 1.0; 5.0 ]))
   in
   let program =
     map2
@@ -450,10 +503,30 @@ let idle_order_matches_reference =
       loops
       (gen_program_with ~extra dt)
   in
-  QCheck.Test.make
-    ~name:"engine with quiet idle loops = Sim.Heap reference" ~count:500
+  QCheck.Test.make ~name ~count
     (QCheck.make ~print:print_program program)
     (fun prog -> run_engine prog = run_reference prog)
+
+(* Up to [n_loops] loops. *)
+let idle_order_matches_reference =
+  idle_loops_match_reference
+    ~name:"engine with quiet idle loops = Sim.Heap reference" ~count:500
+    ~n:n_loops
+    QCheck.Gen.(
+      list_size (int_range 1 n_loops)
+        (pair (oneofl [ 0.0; 0.0; 1.0; 2.5 ]) (oneofl [ 2.5; 2.5; 1.0; 5.0 ])))
+
+(* 17 to [max_loops] loops, more than the poll ring's initial 16 entries,
+   so the ring grows while quiet polls rotate through it.  The loops start
+   staggered within one period, so most are parked when the later ones
+   first arm their timers. *)
+let many_idle_loops_match_reference =
+  idle_loops_match_reference
+    ~name:"engine with more than 16 idle loops = Sim.Heap reference"
+    ~count:200 ~n:max_loops
+    QCheck.Gen.(
+      list_size (int_range 17 max_loops)
+        (pair (oneofl [ 0.0; 0.5; 1.0; 2.0 ]) (oneofl [ 2.5; 2.5; 2.5; 1.0 ])))
 
 (* A thunk that re-schedules itself for the same instant never lets the
    clock move: the event budget trips, and the histogram names it. *)
@@ -750,7 +823,7 @@ let prng_int_range =
       x >= 0 && x < bound)
 
 (* Reference SplitMix64 in boxed Int64 arithmetic (Steele, Lea & Flood),
-   pinning the production limb-based implementation to the published
+   pinning the production unboxed implementation to the published
    sequence bit for bit. *)
 let reference_splitmix64 state =
   let ( ^>> ) z n = Int64.logxor z (Int64.shift_right_logical z n) in
@@ -771,6 +844,48 @@ let prng_matches_reference =
         if Sim.Prng.next_int64 p <> reference_splitmix64 state then ok := false
       done;
       !ok)
+
+(* [float], [int] and [bool] are the reference draw's top 53 bits scaled
+   to [0, 1), its low 62 bits modulo the bound, and its low bit, bit for
+   bit, in any interleaving of the three. *)
+let prng_derived_match_reference =
+  QCheck.Test.make ~name:"prng float/int/bool = reference draws" ~count:200
+    QCheck.(pair int64 (list_of_size Gen.(return 64) (int_range 0 2000)))
+    (fun (seed, picks) ->
+      let p = Sim.Prng.create seed in
+      let state = ref seed in
+      List.for_all
+        (fun pick ->
+          let z = reference_splitmix64 state in
+          match pick mod 3 with
+          | 0 ->
+              let expected =
+                Int64.to_float (Int64.shift_right_logical z 11)
+                /. 9007199254740992.0
+              in
+              Int64.bits_of_float (Sim.Prng.float p)
+              = Int64.bits_of_float expected
+          | 1 ->
+              let bound = (pick / 3) + 1 in
+              Sim.Prng.int p bound
+              = Int64.to_int
+                  (Int64.rem (Int64.logand z 0x3FFF_FFFF_FFFF_FFFFL)
+                     (Int64.of_int bound))
+          | _ -> Sim.Prng.bool p = (Int64.logand z 1L = 1L))
+        picks)
+
+(* A draw consumed as an int allocates nothing: the 64-bit state and the
+   draw stay unboxed. *)
+let test_prng_allocates_nothing () =
+  let p = Sim.Prng.create 42L in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Sim.Prng.int p 1000 + Bool.to_int (Sim.Prng.bool p)
+  done;
+  let words = Gc.minor_words () -. before in
+  check_float "minor words" ~eps:0.0 0.0 words;
+  Alcotest.(check bool) "draws happened" true (!acc > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Bus: FCFS, no overlapping service *)
@@ -1427,7 +1542,9 @@ let () =
           Alcotest.test_case "runaway guard" `Quick test_runaway;
           Alcotest.test_case "determinism" `Quick test_determinism;
         ] );
-      ("heap", List.map QCheck_alcotest.to_alcotest [ heap_sorted ]);
+      ( "heap",
+        List.map QCheck_alcotest.to_alcotest [ heap_sorted; heap_interleaved ]
+      );
       ( "queue order",
         [
           QCheck_alcotest.to_alcotest queue_order_matches_reference;
@@ -1471,11 +1588,19 @@ let () =
           Alcotest.test_case "Sched.quiet allocates nothing" `Quick
             test_quiet_allocates_nothing;
           QCheck_alcotest.to_alcotest idle_order_matches_reference;
+          QCheck_alcotest.to_alcotest many_idle_loops_match_reference;
         ] );
       ( "prng",
         Alcotest.test_case "deterministic" `Quick test_prng_deterministic
+        :: Alcotest.test_case "int and bool allocate nothing" `Quick
+             test_prng_allocates_nothing
         :: List.map QCheck_alcotest.to_alcotest
-             [ prng_float_range; prng_int_range; prng_matches_reference ] );
+             [
+               prng_float_range;
+               prng_int_range;
+               prng_matches_reference;
+               prng_derived_match_reference;
+             ] );
       ( "bus",
         [
           Alcotest.test_case "fcfs" `Quick test_bus_fcfs;
