@@ -239,6 +239,13 @@ let responder ctx (cpu : Sim.Cpu.t) =
    it has none, [idle_check] does nothing. *)
 let idle_pending ctx (cpu : Sim.Cpu.t) = ctx.Pmap.action_needed.(Sim.Cpu.id cpu)
 
+(* Flag CPU [oid]'s queued actions.  [idle_pending] reads the flag, so
+   the write disturbs the engine: an idle [oid] must stop counting as
+   quiet (Sim.Engine.idle_suspension). *)
+let need_action ctx oid =
+  ctx.Pmap.action_needed.(oid) <- true;
+  Sim.Engine.disturb ctx.Pmap.eng
+
 (* Idle processors are not interrupted, but must execute queued actions
    before (re)joining the active set; the scheduler's idle loop calls this
    before dispatching a thread. *)
@@ -381,7 +388,7 @@ let shoot ctx (cpu : Sim.Cpu.t) (pmap : Pmap.t) ~ranges ~pages ~started =
               Action.enqueue q
                 (Action.Invalidate_range
                    { space = pmap.Pmap.space_id; lo; hi });
-              ctx.Pmap.action_needed.(oid) <- true;
+              need_action ctx oid;
               Sim.Cpu.raw_delay cpu params.queue_action_cost;
               (* the action record and flag are uncached remote writes,
                  homed on the responder's node *)

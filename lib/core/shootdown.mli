@@ -71,6 +71,12 @@ val idle_pending : Pmap.ctx -> Sim.Cpu.t -> bool
     has none, {!idle_check} does nothing: the scheduler's idle re-park
     relies on it ([Sim.Sched.actions_queued]). *)
 
+val need_action : Pmap.ctx -> int -> unit
+(** [need_action ctx oid] flags CPU [oid]'s queued actions, for
+    {!idle_pending} and the responder, and disturbs the engine
+    ([Sim.Engine.disturb]): an idle CPU's loop polls them at its next
+    poll.  The one write that sets the flag. *)
+
 val install : Pmap.ctx -> unit
 (** Wire {!responder} into every CPU's shootdown-interrupt dispatch. *)
 

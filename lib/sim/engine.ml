@@ -39,13 +39,26 @@
    the same continuation: the wake event is counted as ever, and the
    continue and perform pair is skipped.
 
+   The engine keeps a disturbance version, an integer, and the contract
+   for such a loop is: [quiet] reads only state whose writers call
+   {!disturb}, and [settle] is idempotent while [quiet] holds.  The
+   engine itself disturbs whenever [wake] takes the wakener of a parked
+   idle loop, whose poll timer then stays queued, a no-op; a timer's own
+   expiry ({!fire}) need not, since its entry leaves the queue with it.
+   So a loop found quiet at version v is still quiet, still parked on
+   the same wakener, and its [settle] would write nothing new, for as
+   long as the version is v.
+
    Most events are such polls, in runs: between two other events, every
    idle CPU polls again and again.  So with no explorer attached, [step]
    and [run_until] first re-arm the run at the poll lane's head in place
    ({!rearm_quiet_polls}): count the timer and its wake, settle, and
    rotate the same cell to the ring's tail one period later, with no
    wakener taken, no wake queued, nothing allocated and no pointer
-   stored.  That is exactly what
+   stored.  Each entry it rotates is marked with the version at which
+   its loop was found quiet; while the version stands, a marked head is
+   re-armed by its ring keys alone, without loading its payload or
+   asking [quiet] ({!rearm_marked}).  That is exactly what
    dispatching each poll would do:
    - A timer's pop only takes its wakener and queues the wake, so polls
      tied at one instant, which would pop timer, timer, wake, wake, can be
@@ -96,13 +109,18 @@
    ring position, and the payloads in a slab.  [ids] is a permutation of
    [0 .. capacity - 1] whose positions past the tail hold the free slab
    indices, so moving an entry within the ring ({!rotate}) stores no
-   pointer, and a push or pop stores one. *)
+   pointer, and a push or pop stores one.  Two more arrays by ring
+   position move with the keys: [periods], each entry's poll period, and
+   [marks], the disturbance version at which its idle loop was last found
+   quiet, or -1 ({!rearm_quiet_polls}). *)
 module Lane = struct
   type 'a t = {
     mutable evs : 'a array; (* the slab *)
     mutable ids : int array; (* ring position -> slab index *)
     mutable times : float array;
     mutable seqs : int array;
+    mutable periods : float array;
+    mutable marks : int array;
     mutable head : int; (* position of the oldest entry *)
     mutable len : int;
     dummy : 'a;
@@ -115,6 +133,8 @@ module Lane = struct
       ids = Array.init capacity Fun.id;
       times = Array.make capacity 0.0;
       seqs = Array.make capacity 0;
+      periods = Array.make capacity 0.0;
+      marks = Array.make capacity (-1);
       head = 0;
       len = 0;
       dummy;
@@ -136,6 +156,8 @@ module Lane = struct
     in
     q.times <- unroll q.times 0.0;
     q.seqs <- unroll q.seqs 0;
+    q.periods <- unroll q.periods 0.0;
+    q.marks <- unroll q.marks (-1);
     q.evs <- Array.append q.evs (Array.make n q.dummy);
     (* last: [slot] wraps with the length of [ids] *)
     let ids = unroll q.ids 0 in
@@ -145,13 +167,15 @@ module Lane = struct
     q.ids <- ids;
     q.head <- 0
 
-  (* Append an entry; [time] must be at or after the tail's.  Inlined, so
-     the time reaches the array unboxed. *)
-  let[@inline] push q time seq ev =
+  (* Append an unmarked entry polling every [period]; [time] must be at or
+     after the tail's.  Inlined, so the floats reach the arrays unboxed. *)
+  let[@inline] push q time seq period ev =
     if q.len = Array.length q.ids then grow q;
     let i = slot q q.len in
     q.times.(i) <- time;
     q.seqs.(i) <- seq;
+    q.periods.(i) <- period;
+    q.marks.(i) <- -1;
     q.evs.(q.ids.(i)) <- ev;
     q.len <- q.len + 1
 
@@ -174,18 +198,21 @@ module Lane = struct
     ev
 
   (* Move the oldest entry to the tail with the key [(time, seq)], which
-     must be at or after the tail's: a pop and a push of the same payload,
-     storing no pointer.  The head's slab index swaps places with the
-     free one just past the tail (the same position when the ring is
-     full), so the ring's positions stay a permutation.  Inlined, so the
-     time reaches the array unboxed. *)
-  let[@inline] rotate q time seq =
+     must be at or after the tail's, and the mark [mark]: a pop and a push
+     of the same payload, storing no pointer.  The head's slab index swaps
+     places with the free one just past the tail (the same position when
+     the ring is full), so the ring's positions stay a permutation; its
+     period goes with it.  Inlined, so the time reaches the array
+     unboxed. *)
+  let[@inline] rotate q time seq mark =
     let i = q.head and j = slot q q.len in
     let id = q.ids.(i) in
     q.ids.(i) <- q.ids.(j);
     q.ids.(j) <- id;
     q.times.(j) <- time;
     q.seqs.(j) <- seq;
+    q.periods.(j) <- q.periods.(i);
+    q.marks.(j) <- mark;
     q.head <- slot q 1
 
   (* Oldest first, i.e. in (time, seq) order. *)
@@ -239,7 +266,6 @@ and idle = {
   quiet : unit -> bool; (* the loop's next iteration would do nothing *)
   settle : unit -> unit; (* that iteration's writes before it parks *)
   park : wakener -> unit; (* the park's registration *)
-  period : float; (* how far ahead [park] arms the poll timer *)
 }
 
 (* Pre-fired sentinel: waking it is a no-op.  Never mutated (fired stays
@@ -272,6 +298,9 @@ type clock = { mutable now : float }
 type t = {
   clock : clock;
   mutable seq : int;
+  mutable version : int;
+      (* the disturbance version: bumped by every write that may turn a
+         parked idle loop's [quiet] false ({!disturb}) *)
   mutable events : int; (* total processed, for runaway detection *)
   mutable events_flushed : int; (* portion already added to the global *)
   mutable max_events : int;
@@ -312,6 +341,7 @@ let create ?(seed = 0x5EEDL) ?(max_events = 200_000_000) () =
   {
     clock = { now = 0.0 };
     seq = 0;
+    version = 0;
     events = 0;
     events_flushed = 0;
     max_events;
@@ -364,6 +394,7 @@ let tracer t = t.tracer
 let set_explore t ex = t.explore <- ex
 let explore t = t.explore
 let set_max_events t n = t.max_events <- n
+let disturb t = t.version <- t.version + 1
 
 let delay dt =
   if dt < 0.0 then invalid_arg "Engine.delay: negative duration";
@@ -391,7 +422,10 @@ let[@inline] take w =
 let wake t w =
   match take w with
   | Gone -> ()
-  | (Cont _ | Idle _) as c -> push_ev t t.clock.now (Ev_wake (t.c_wake, c))
+  | Cont _ as c -> push_ev t t.clock.now (Ev_wake (t.c_wake, c))
+  | Idle _ as c ->
+      disturb t;
+      push_ev t t.clock.now (Ev_wake (t.c_wake, c))
 
 (* Timer-driven wake: schedules an event that, when it pops, wakes [w]
    (a no-op if something else woke it first).  Equivalent to
@@ -407,7 +441,7 @@ let poll_after t dt w =
   let p = t.polls in
   if time > t.clock.now && (p.len = 0 || time >= Lane.tail_time p) then begin
     t.seq <- t.seq + 1;
-    Lane.push p time t.seq (Ev_timer (t.c_after, w))
+    Lane.push p time t.seq dt (Ev_timer (t.c_after, w))
   end
   else wake_after t dt w
 
@@ -657,6 +691,65 @@ let[@inline] poll_next t limit =
   && (Heap.is_empty t.heap || Lane.head_time p < Heap.root_time t.heap)
   && t.events + (2 * p.len) <= t.max_events
 
+(* Re-arm the run of marked polls at the poll lane's head, touching only
+   the ring's keys, and return how many it re-armed.  A head marked with
+   the current version belongs to an idle loop that was parked on it and
+   quiet when it was marked, and nothing that could change either has
+   happened since: a wake that takes the loop's wakener, and every write
+   that [quiet] reads, bumps the version.  So the poll would be re-armed
+   as {!rearm_quiet_polls} re-arms it, and its [settle] would repeat the
+   last one's writes.  The heap's root, the limit and the budget's
+   reserve cannot change during the run, so they are read once; the
+   clock and the counters move once, at the end. *)
+let rearm_marked t limit =
+  let p = t.polls in
+  let version = t.version in
+  let root = if Heap.is_empty t.heap then infinity else Heap.root_time t.heap in
+  (* [poll_next] held, so the budget has room for at least one *)
+  let room = ((t.max_events - t.events - (2 * p.len)) / 2) + 1 in
+  (* [Lane.rotate], with the ring's arrays and its tail's time in locals:
+     the run neither grows the ring nor changes its length *)
+  let times = p.times and seqs = p.seqs and periods = p.periods in
+  let marks = p.marks and ids = p.ids in
+  let mask = Array.length ids - 1 and len = p.len in
+  let head = ref p.head and tail = ref (Lane.tail_time p) in
+  let n = ref 0 and seq = ref t.seq and last = ref 0.0 in
+  let more = ref true in
+  while !more && !n < room do
+    let i = !head in
+    let time = times.(i) in
+    let next = time +. periods.(i) in
+    if
+      marks.(i) = version && time <= limit && time < root && next > time
+      && next >= !tail
+    then begin
+      let j = (i + len) land mask in
+      let id = ids.(i) in
+      ids.(i) <- ids.(j);
+      ids.(j) <- id;
+      incr seq;
+      times.(j) <- next;
+      seqs.(j) <- !seq;
+      periods.(j) <- periods.(i);
+      marks.(j) <- version;
+      head := (i + 1) land mask;
+      tail := next;
+      last := time;
+      incr n
+    end
+    else more := false
+  done;
+  let n = !n in
+  if n > 0 then begin
+    p.head <- !head;
+    t.seq <- !seq;
+    t.clock.now <- !last;
+    Instrument.Metrics.inc ~by:n t.c_after;
+    Instrument.Metrics.inc ~by:n t.c_wake;
+    t.events <- t.events + (2 * n)
+  end;
+  n > 0
+
 (* Re-arm the run of quiet idle polls at the poll lane's head, in place.
    While the head is due strictly before the heap's root and no later
    than [limit], and is the poll timer of an idle loop still parked on it
@@ -666,9 +759,11 @@ let[@inline] poll_next t limit =
    settles, and rotates the same cell to the ring's tail one period later
    with a fresh seq, which is popping it and pushing it back without the
    two pointer stores: the loop stays parked on the same wakener, a
-   stand-in for the fresh one (the header says why that is exact).  A
-   head that would go back out of the ring's order is popped and
-   re-parked through [park].
+   stand-in for the fresh one (the header says why that is exact).  The
+   rotated entry is marked with the version read before [quiet] was
+   asked, so the run of marked entries that builds up is re-armed by
+   {!rearm_marked} without asking again.  A head that would go back out
+   of the ring's order is popped and re-parked through [park].
 
    The budget check reserves two events for every entry in the poll lane,
    not just the head's two: a run tied at one instant then fits whole, so
@@ -680,30 +775,33 @@ let rearm_quiet_polls t limit =
   let p = t.polls in
   let more = ref true in
   while !more && poll_next t limit do
-    match Lane.head_ev p with
-    | Ev_timer (c, ({ fired = false; cont = Idle (_, idle) } as w)) ->
-        let time = Lane.head_time p in
-        t.clock.now <- time;
-        if idle.quiet () then begin
-          Instrument.Metrics.inc c;
-          Instrument.Metrics.inc t.c_wake;
-          t.events <- t.events + 2;
-          idle.settle ();
-          (* the head is still queued: with [next] after [time], the ring
-             keeps its order iff [next] is no earlier than the tail,
-             which is the head itself when it is alone *)
-          let next = time +. idle.period in
-          if next > time && next >= Lane.tail_time p then begin
-            t.seq <- t.seq + 1;
-            Lane.rotate p next t.seq
+    if p.marks.(p.head) = t.version && rearm_marked t limit then ()
+    else
+      match Lane.head_ev p with
+      | Ev_timer (c, ({ fired = false; cont = Idle (_, idle) } as w)) ->
+          let time = Lane.head_time p in
+          t.clock.now <- time;
+          let version = t.version in
+          if idle.quiet () then begin
+            Instrument.Metrics.inc c;
+            Instrument.Metrics.inc t.c_wake;
+            t.events <- t.events + 2;
+            idle.settle ();
+            (* the head is still queued: with [next] after [time], the
+               ring keeps its order iff [next] is no earlier than the
+               tail, which is the head itself when it is alone *)
+            let next = time +. p.periods.(p.head) in
+            if next > time && next >= Lane.tail_time p then begin
+              t.seq <- t.seq + 1;
+              Lane.rotate p next t.seq version
+            end
+            else begin
+              ignore (Lane.pop p);
+              idle.park w
+            end
           end
-          else begin
-            ignore (Lane.pop p);
-            idle.park w
-          end
-        end
-        else more := false
-    | _ -> more := false
+          else more := false
+      | _ -> more := false
   done
 
 (* The loop's entry test, inline so that a step it cannot help costs no

@@ -105,14 +105,13 @@ val suspend_with : suspension -> unit
 
 type idle = {
   quiet : unit -> bool;
-      (** the parked loop's next iteration would find nothing to do *)
+      (** the parked loop's next iteration would find nothing to do; may
+          read only state whose writers call {!disturb} *)
   settle : unit -> unit;
       (** make that iteration's writes, up to where it parks again; must
-          perform no effect while [quiet] holds *)
+          perform no effect, and be idempotent, while [quiet] holds *)
   park : wakener -> unit;
       (** the park's registration: record the wakener, arm its wake *)
-  period : float;
-      (** how far ahead [park] arms its timer, with {!poll_after} *)
 }
 (** An idle loop's park, for {!idle_suspension}. *)
 
@@ -126,10 +125,28 @@ val idle_suspension : idle -> suspension
     that parks this way must therefore run [settle] and park again
     whenever it resumes with [quiet] true.
 
-    [park] must arm exactly one timer, [poll_after t idle.period w], and
-    write the same values on every call for one loop: the engine may
-    re-arm that timer in place, keeping the loop parked on [w], instead
-    of calling [park] again (see {!step}). *)
+    [park] must arm exactly one timer, [poll_after t period w] with the
+    same [period] on every call, and write the same values on every call
+    for one loop: the engine may re-arm that timer [period] later in
+    place, keeping the loop parked on [w], instead of calling [park]
+    again (see {!step}).
+
+    The engine may also skip [quiet] and [settle] for such a re-arm.  It
+    does so while nothing has called {!disturb} since the loop was last
+    found quiet, so the loop must keep this contract:
+    - [quiet] reads only state whose every write that may turn it false
+      is followed by a {!disturb} before the next event;
+    - [settle] is idempotent while [quiet] holds: running it again, with
+      nothing disturbed in between, writes nothing new.
+    The engine disturbs by itself whenever {!wake} takes the wakener of
+    a loop parked this way. *)
+
+val disturb : t -> unit
+(** Make every saved [quiet] verdict stale ({!idle_suspension}): the next
+    poll of each parked idle loop asks its [quiet] again.  Called by
+    every write that may turn a parked idle loop's [quiet] false — a
+    ready-queue push, a shutdown, an action queued for an idle CPU.
+    Costs one integer increment. *)
 
 val wake : t -> wakener -> unit
 (** Resume a parked coroutine at the current instant (idempotent). *)
@@ -175,7 +192,9 @@ val step : t -> bool
     due strictly before every other pending event, whose loop
     ({!idle_suspension}) is still parked on it and [quiet], counts its
     timer and its wake, runs [settle], and is armed again [period]
-    later, on the same wakener, with no wake queued.
+    later, on the same wakener, with no wake queued.  A poll whose loop
+    was found quiet since the last {!disturb} is re-armed without asking
+    [quiet] or running [settle] again.
     Such a step processes many events, all of which would have been next
     anyway and none of which resumes a coroutine. *)
 

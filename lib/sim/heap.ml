@@ -58,13 +58,12 @@ let grow h =
   h.slots <- Array.init (2 * n) (fun i -> if i < n then h.slots.(i) else i);
   h.vals <- extend h.vals h.dummy
 
-let push h time seq v =
-  if h.size = Array.length h.times then grow h;
-  let s = h.slots.(h.size) in
-  h.vals.(s) <- v;
-  let i = ref h.size in
-  h.size <- h.size + 1;
-  (* bubble the hole up: parents later than (time, seq) slide down *)
+(* Sift the entry at position [i] up, reading its key from the arrays:
+   bubble the hole up while the parent is later than the key.  Not
+   inlined, and it takes no float, so [push] inlines small. *)
+let[@inline never] sift_up h i =
+  let time = h.times.(i) and seq = h.seqs.(i) and s = h.slots.(i) in
+  let i = ref i in
   let moving = ref true in
   while !moving && !i > 0 do
     let p = (!i - 1) / 2 in
@@ -80,6 +79,19 @@ let push h time seq v =
   h.times.(!i) <- time;
   h.seqs.(!i) <- seq;
   h.slots.(!i) <- s
+
+(* Store the entry at position [size], the free slab index there taking
+   its payload, then sift it up.  Inlined, so a time computed by the
+   caller reaches the array unboxed; built with -opaque (dune's dev
+   profile) nothing is inlined across modules, and the caller boxes it. *)
+let[@inline] push h time seq v =
+  if h.size = Array.length h.times then grow h;
+  let i = h.size in
+  h.vals.(h.slots.(i)) <- v;
+  h.times.(i) <- time;
+  h.seqs.(i) <- seq;
+  h.size <- i + 1;
+  sift_up h i
 
 (* Remove the root and re-establish the heap by sifting the last entry
    down from the top (hole technique again).  The root's slab index ends

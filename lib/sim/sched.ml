@@ -129,7 +129,9 @@ let poke t ~bound ~home =
       done
 
 (* Pure (no effects): mark a thread runnable and poke an idle CPU.  Safe to
-   call from timer callbacks and suspend registrations. *)
+   call from timer callbacks and suspend registrations.  The push may make
+   any parked idle loop's [quiet] false, also one the poke does not wake,
+   so it disturbs the engine (Engine.idle_suspension). *)
 let make_ready t th =
   (match th.state with
   | Finished | Running | Ready -> invalid_arg "Sched.make_ready: bad state"
@@ -138,6 +140,7 @@ let make_ready t th =
   (match th.bound with
   | Some id -> Queue.push th t.bound_ready.(id)
   | None -> Queue.push th t.cluster_ready.(th.home));
+  Engine.disturb t.eng;
   poke t ~bound:th.bound ~home:th.home
 
 (* Wake a blocked thread (pure).  Waking a running thread latches the
@@ -196,7 +199,10 @@ let hand_cpu_back t (cpu : Cpu.t) =
    no deliverable interrupt, no ready thread, no queued consistency
    action.  Such an iteration only writes (through [pre_dispatch], which
    then performs no effect, and the park) and parks again, so the engine
-   may make those writes instead of resuming the loop. *)
+   may make those writes instead of resuming the loop.  Every write that
+   may turn it false disturbs the engine: [stop], [make_ready], the poke
+   or interrupt post that wakes the parked loop, and the writer behind
+   [actions_queued]. *)
 let quiet t (cpu : Cpu.t) =
   (not t.shutdown)
   && (not (Cpu.has_deliverable cpu))
@@ -218,7 +224,6 @@ let nap t (cpu : Cpu.t) =
           cpu.Cpu.idle <- true;
           cpu.Cpu.acct.sleep_dt <- period;
           Cpu.arm_poll cpu w);
-      period;
     }
 
 (* The per-CPU idle loop.  Checks for queued consistency actions (the
@@ -267,7 +272,10 @@ let start t =
         (idle_loop t cpu))
     t.cpus
 
-let stop t = t.shutdown <- true
+let stop t =
+  t.shutdown <- true;
+  Engine.disturb t.eng
+
 let stopped t = t.shutdown
 
 (* Must be called from the thread's own coroutine while it holds a CPU.

@@ -56,10 +56,11 @@ type t = {
       (** run by idle loops before dispatching (consistency-action check) *)
   mutable actions_queued : Cpu.t -> bool;
       (** [pre_dispatch] has queued work for this CPU.  While it has none,
-          [pre_dispatch] must perform no effect: the engine may run it to
-          re-park a quiet idle loop (Engine.idle_suspension).  A machine
-          takes both from one module ([Shootdown.idle_pending] and
-          [Shootdown.idle_check]). *)
+          [pre_dispatch] must perform no effect and be idempotent: the
+          engine may run it to re-park a quiet idle loop, or skip it
+          (Engine.idle_suspension).  Whatever queues work for an idle CPU
+          must call [Engine.disturb].  A machine takes both from one
+          module ([Shootdown.idle_pending] and [Shootdown.idle_check]). *)
   mutable activate : thread -> Cpu.t -> unit;
   mutable deactivate : thread -> Cpu.t -> unit;
   mutable shutdown : bool;
@@ -71,7 +72,8 @@ val start : t -> unit
 (** Spawn the per-CPU idle loops. *)
 
 val stop : t -> unit
-(** Ask idle loops and daemons to exit at their next check. *)
+(** Ask idle loops and daemons to exit at their next check; disturbs the
+    engine, so no parked idle loop stays quiet. *)
 
 val stopped : t -> bool
 val live_threads : t -> int
@@ -106,7 +108,9 @@ val join : t -> thread -> thread -> unit
 (** [join t self target] blocks [self] until [target] finishes. *)
 
 val make_ready : t -> thread -> unit
-(** Internal/advanced: enqueue a Created/Blocked thread directly. *)
+(** Internal/advanced: enqueue a Created/Blocked thread directly.  Disturbs
+    the engine ([Engine.disturb]): the push may end any idle loop's
+    quiet. *)
 
 val has_ready : t -> Cpu.t -> bool
 

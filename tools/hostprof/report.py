@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Symbol profile from a hostprof run (see hostprof.c).
 
-    python3 tools/hostprof/report.py hostprof.<pid> [--top N]
+    python3 tools/hostprof/report.py hostprof.<pid>[.pcs|.maps] [--top N]
 
-Reads hostprof.<pid>.pcs (the sampled program counters) and
+Takes the files' common prefix, or either file's path.  Reads
+hostprof.<pid>.pcs (the sampled program counters) and
 hostprof.<pid>.maps (the process's memory map at exit), maps each PC to
 the file mapped there and to the symbol that contains it, and prints the
 symbols by sample count, then the files.  A position-independent file
@@ -18,6 +19,7 @@ import argparse
 import array
 import bisect
 import collections
+import os
 import subprocess
 import sys
 
@@ -96,16 +98,29 @@ class Symboliser:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("prefix", help="hostprof.<pid>, the files' common prefix")
+    ap.add_argument(
+        "prefix",
+        help="hostprof.<pid>, the files' common prefix, or the path of "
+        "either file",
+    )
     ap.add_argument("--top", type=int, default=30, help="symbols to list")
     args = ap.parse_args()
 
+    prefix = args.prefix
+    for suffix in (".pcs", ".maps"):
+        if prefix.endswith(suffix):
+            prefix = prefix[: -len(suffix)]
+    pcs_path, maps_path = prefix + ".pcs", prefix + ".maps"
+    for path in (pcs_path, maps_path):
+        if not os.path.isfile(path):
+            sys.exit("hostprof: no such file: " + path)
+
     pcs = array.array("Q")
-    with open(args.prefix + ".pcs", "rb") as f:
+    with open(pcs_path, "rb") as f:
         pcs.frombytes(f.read())
     if not pcs:
-        sys.exit("hostprof: no samples in " + args.prefix + ".pcs")
-    sym = Symboliser(args.prefix + ".maps")
+        sys.exit("hostprof: no samples in " + pcs_path)
+    sym = Symboliser(maps_path)
     by_symbol, by_file = collections.Counter(), collections.Counter()
     for pc, n in collections.Counter(pcs).items():
         name, fn = sym.lookup(pc)
