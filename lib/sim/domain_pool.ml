@@ -1,5 +1,4 @@
-(* Work-stealing pool over OCaml 5 Domains for embarrassingly-parallel
-   trial sweeps.
+(* Trial pool over OCaml 5 Domains for embarrassingly-parallel sweeps.
 
    The experiment drivers run hundreds of *independent* single-threaded
    simulations (one fresh machine per trial, seeded per trial).  Those
@@ -7,65 +6,17 @@
    safe and — because every trial derives only from its own seed — the
    result list is bit-for-bit identical to a sequential run.
 
-   Scheduling is true work-stealing over lock-free SPMC deques (the
-   Chase–Lev shape, simplified by our usage): each worker owns a deque
-   pre-seeded with a round-robin partition of the trial indices, pops
-   work from its own tail, and — when it drains — steals from the head
-   of a victim's deque, scanning victims from a per-worker randomized
-   start so thieves spread out instead of convoying on one victim.
-   Because all pushes happen before the workers start (trials are known
-   up front), the deques need no growth or wrap-around: the owner's pop
-   and a thief's steal only race on the last element, resolved by a
-   single compare-and-set on the head.  A thief that loses a race moves
-   on to the next victim — no full re-scan (and no scan of every deque's
-   counter per steal, which is what the old claim-counter scheme did).
+   Scheduling is one shared cursor: every worker, the calling domain
+   included, claims the next unclaimed trial index with
+   [Atomic.fetch_and_add] and runs that trial into its own slot.  The
+   whole input is known up front and no trial spawns work, so the next
+   unclaimed index is all a worker ever needs to know.
 
-   After the first worker raises, the other workers stop claiming new
-   trials; the error raised to the caller is the one from the
-   lowest-numbered trial that recorded a failure. *)
-
-(* One deque of trial indices.  Elements live in [buf.(top .. bottom-1)]:
-   [top] only grows (steals), [bottom] only shrinks (owner pops).  [buf]
-   itself is written only at construction, so a thief may read
-   [buf.(t)] before winning the CAS on [top]. *)
-type deque = {
-  buf : int array;
-  top : int Atomic.t; (* head: next steal position *)
-  bottom : int Atomic.t; (* tail: one past the owner's next pop *)
-}
-
-type steal_result = Stolen of int | Empty | Lost_race
-
-(* Owner pop from the tail.  Publishing the decremented [bottom] before
-   reading [top] is what makes the last-element race safe: a thief that
-   read the old [bottom] will fight us on the CAS; a thief that reads the
-   new one sees an empty deque. *)
-let pop d =
-  let b = Atomic.get d.bottom - 1 in
-  Atomic.set d.bottom b;
-  let t = Atomic.get d.top in
-  if b > t then d.buf.(b) (* ≥ 2 elements: no thief can reach index b *)
-  else if b = t then begin
-    (* exactly one element left: race any thieves for it *)
-    let won = Atomic.compare_and_set d.top t (t + 1) in
-    Atomic.set d.bottom (t + 1);
-    if won then d.buf.(b) else -1
-  end
-  else begin
-    (* already empty: restore the canonical empty form top = bottom *)
-    Atomic.set d.bottom t;
-    -1
-  end
-
-(* Thief steal from the head. *)
-let steal d =
-  let t = Atomic.get d.top in
-  let b = Atomic.get d.bottom in
-  if t >= b then Empty
-  else begin
-    let x = d.buf.(t) in
-    if Atomic.compare_and_set d.top t (t + 1) then Stolen x else Lost_race
-  end
+   After a trial raises, the workers stop claiming.  The stop flag is
+   read only before a claim, so a claimed trial always runs; indices are
+   claimed in increasing order, so every trial below a claimed one was
+   claimed too and ran.  The lowest recorded failure is therefore the
+   first failing trial in input order — the error [List.map] raises. *)
 
 (* One pool at a time: a trial function must not itself fan out, or two
    concurrent sweeps would oversubscribe the machine with jobs^2 domains
@@ -75,96 +26,37 @@ let active = Atomic.make false
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-let run_sequential f input results errors =
-  Array.iteri
-    (fun i x ->
-      match f x with
-      | v -> results.(i) <- Some v
-      | exception e ->
-          errors.(i) <- Some (e, Printexc.get_raw_backtrace ()))
-    input
-
-let run_parallel ~workers f input results errors =
+let run ~workers f input results errors =
   let n = Array.length input in
-  (* Round-robin partition: worker w owns trials w, w+workers, w+2·workers…
-     so a skewed cost distribution (e.g. trial cost growing with index)
-     spreads across workers instead of loading the last chunk. *)
-  let deques =
-    Array.init workers (fun w ->
-        let len = ((n - w - 1) / workers) + 1 in
-        {
-          buf = Array.init len (fun j -> w + (j * workers));
-          top = Atomic.make 0;
-          bottom = Atomic.make len;
-        })
-  in
+  let next = Atomic.make 0 in
   let failed = Atomic.make false in
-  let run_trial i =
-    match f input.(i) with
-    | v -> results.(i) <- Some v
-    | exception e ->
-        errors.(i) <- Some (e, Printexc.get_raw_backtrace ());
-        Atomic.set failed true
-  in
-  let worker w () =
-    let d = deques.(w) in
-    (* Cheap per-worker xorshift for the randomized victim start; host
-       scheduling is already nondeterministic, and trial results are
-       slot-addressed, so this stays outside the determinism contract. *)
-    let rng = ref ((w + 1) * 0x9E3779B9) in
-    let rand_below m =
-      let x = !rng in
-      let x = x lxor (x lsl 13) in
-      let x = x lxor (x lsr 7) in
-      let x = x lxor (x lsl 17) in
-      rng := x land max_int;
-      !rng mod m
-    in
-    (* Drain the local deque, then turn thief.  A full victim pass that
-       finds every deque empty — with no lost race along the way — proves
-       termination: empty deques stay empty (all pushes precede the
-       workers), so nothing new can appear. *)
-    let rec local () =
-      if not (Atomic.get failed) then begin
-        let i = pop d in
-        if i >= 0 then begin
-          run_trial i;
-          local ()
-        end
-        else thief ()
+  let rec work () =
+    if not (Atomic.get failed) then begin
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (match f input.(i) with
+        | v -> results.(i) <- Some v
+        | exception e ->
+            errors.(i) <- Some (e, Printexc.get_raw_backtrace ());
+            Atomic.set failed true);
+        work ()
       end
-    and thief () =
-      if not (Atomic.get failed) then begin
-        let start = rand_below workers in
-        let lost = ref false in
-        let got = ref (-1) in
-        let v = ref 0 in
-        while !got < 0 && !v < workers do
-          let j = (start + !v) mod workers in
-          (if j <> w then
-             match steal deques.(j) with
-             | Stolen i -> got := i
-             | Lost_race -> lost := true
-             | Empty -> ());
-          incr v
-        done;
-        if !got >= 0 then begin
-          run_trial !got;
-          thief ()
-        end
-        else if !lost then
-          (* someone was mid-claim; their deque may still hold work *)
-          thief ()
-      end
-    in
-    local ()
+    end
   in
-  let domains =
-    Array.init (workers - 1) (fun w -> Domain.spawn (worker (w + 1)))
+  (* Fewer workers only means fewer claimants, so a spawn that fails (the
+     runtime caps the number of live domains) ends spawning; the sweep
+     runs on the domains that did start, and each of them is joined. *)
+  let rec spawn k started =
+    if k = 0 then started
+    else
+      match Domain.spawn work with
+      | d -> spawn (k - 1) (d :: started)
+      | exception _ -> started
   in
-  (* the calling domain is worker 0 *)
-  worker 0 ();
-  Array.iter Domain.join domains
+  (* the calling domain is a worker too *)
+  let domains = spawn (workers - 1) [] in
+  work ();
+  List.iter Domain.join domains
 
 let map_trials ~jobs f xs =
   if jobs < 1 then invalid_arg "Domain_pool.map_trials: jobs must be >= 1";
@@ -186,10 +78,8 @@ let map_trials ~jobs f xs =
           let n = Array.length input in
           let results = Array.make n None in
           let errors = Array.make n None in
-          let workers = min jobs n in
-          if workers = 1 then run_sequential f input results errors
-          else run_parallel ~workers f input results errors;
-          (* deterministic error propagation: the lowest failed index *)
+          run ~workers:(min jobs n) f input results errors;
+          (* the lowest failed index: the first failure in input order *)
           Array.iter
             (function
               | Some (e, bt) -> Printexc.raise_with_backtrace e bt

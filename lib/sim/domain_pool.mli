@@ -1,8 +1,7 @@
-(** Work-stealing pool over OCaml 5 [Domain]s for independent trial
-    sweeps: per-worker lock-free SPMC deques seeded with a round-robin
-    partition of the trial indices; a worker pops its own deque from the
-    tail and, when it drains, steals from the head of a victim chosen by
-    a bounded randomized-start scan.
+(** Trial pool over OCaml 5 [Domain]s for independent trial sweeps.
+    Scheduling is one shared atomic cursor: each worker, the calling
+    domain included, claims the next unclaimed trial index and runs that
+    trial into its own result slot, until the indices run out.
 
     The determinism contract (see docs/PARALLELISM.md): a trial function
     given to {!map_trials} must depend only on its input — in practice,
@@ -17,13 +16,16 @@ val default_jobs : unit -> int
 
 val map_trials : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_trials ~jobs f xs] maps [f] over [xs] on up to [jobs] domains
-    (never more than [List.length xs]) and returns the results in input
-    order.  [jobs = 1] is a guaranteed-sequential fast path equal to
+    (never more than [List.length xs], and fewer if the runtime refuses
+    to start a domain) and returns the results in input order.  [jobs = 1] is a guaranteed-sequential fast path equal to
     [List.map f xs].
 
-    If a trial raises, the exception from the lowest-numbered failed
-    trial is re-raised in the caller (with its backtrace) once all
-    workers have stopped; remaining unclaimed trials are abandoned.
+    If a trial raises, the workers stop claiming trials, and once all
+    have stopped the exception of the first failing trial in input order
+    is re-raised in the caller with its backtrace — the error
+    [List.map f xs] raises, at every [jobs].  A claimed trial always
+    runs and indices are claimed in increasing order, so every trial
+    before a claimed one has run; unclaimed trials are abandoned.
 
     At most one parallel pool may be active per process: calling
     [map_trials ~jobs:(>1)] from inside a trial raises

@@ -16,7 +16,7 @@ let test_order_preserved () =
   List.iter
     (fun jobs ->
       (* vary per-trial work so slow trials finish out of claim order and
-         the fast workers actually steal *)
+         the fast workers claim more of the trials *)
       let f i =
         let spin = ref 0 in
         for _ = 1 to (i mod 7) * 1000 do
@@ -141,12 +141,10 @@ let test_metrics_merge () =
 
 (* The pool-level determinism property: for any trial count (including
    fewer trials than workers), any skew in per-trial cost (so fast
-   workers drain their deques and steal), and an optional mid-sweep
-   exception, both the result list and the raised error are identical at
-   jobs 1, 2, 4 and 8.  At most one trial fails per case: with several
-   failures the early-stop after the first one makes *which* failures
-   get recorded schedule-dependent, so only the single-failure error is
-   part of the determinism contract. *)
+   workers claim many trials while slow ones run few), and an optional
+   mid-sweep exception, both the result list and the raised error are
+   identical at jobs 1, 2, 4 and 8.  At most one trial fails per case;
+   sweeps with several failures are "first error in input order". *)
 exception Trial_failed of int
 
 let pool_identical_across_jobs =
@@ -159,7 +157,7 @@ let pool_identical_across_jobs =
     (fun (n, weights, fail_at) ->
       let f i =
         (* busy-spin proportional to a generated weight: skewed trial
-           durations make stealing the common case, not the corner *)
+           durations let workers claim trials out of step *)
         let spin = ref 0 in
         let w = if Array.length weights = 0 then 0 else weights.(i mod 8) in
         for _ = 1 to w do
@@ -176,6 +174,51 @@ let pool_identical_across_jobs =
       in
       let seq = outcome 1 in
       List.for_all (fun jobs -> outcome jobs = seq) [ 2; 4; 8 ])
+
+(* With several failing trials the raised error is still the first
+   failure in input order — the one [List.map] raises — at every job
+   count.  The costs are skewed so that a worker which ran trials out of
+   input order would reach a later failure first: even trials slow,
+   cost growing with the index, and every trial failing. *)
+let test_first_error_in_input_order () =
+  let spin k =
+    let r = ref 0 in
+    for _ = 1 to k do
+      incr r
+    done;
+    ignore !r
+  in
+  let even_slow i = if i mod 2 = 0 then 2_000_000 else 0 in
+  let growing i = i * 50_000 in
+  let flat _ = 100_000 in
+  List.iter
+    (fun (name, n, fails, cost) ->
+      let f i =
+        spin (cost i);
+        if List.mem i fails then raise (Trial_failed i);
+        i
+      in
+      let outcome jobs =
+        match Pool.map_trials ~jobs f (List.init n Fun.id) with
+        | _ -> None
+        | exception Trial_failed i -> Some i
+      in
+      let first = outcome 1 in
+      Alcotest.(check (option int))
+        (name ^ ": jobs=1 raises the first failure")
+        (Some (List.fold_left min max_int fails))
+        first;
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: same error at jobs=%d" name jobs)
+            first (outcome jobs))
+        [ 2; 4; 8 ])
+    [
+      ("even trials slow", 20, [ 3; 7 ], even_slow);
+      ("cost grows with index", 40, [ 5; 21; 38 ], growing);
+      ("every trial fails", 9, List.init 9 Fun.id, flat);
+    ]
 
 let figure2_identical_across_jobs =
   QCheck.Test.make ~name:"Figure2.run identical at jobs in {1,2,4}" ~count:4
@@ -239,6 +282,8 @@ let () =
             test_nested_rejected;
           Alcotest.test_case "nested sequential allowed" `Quick
             test_nested_sequential_allowed;
+          Alcotest.test_case "first error in input order" `Quick
+            test_first_error_in_input_order;
         ] );
       ("metrics-merge", [ Alcotest.test_case "merge rules" `Quick test_metrics_merge ]);
       ( "determinism",

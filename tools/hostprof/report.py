@@ -12,7 +12,10 @@ symbols by sample count, then the files.  A position-independent file
 symbolised relative to its load base, the start of its lowest mapping;
 a fixed-address executable by the absolute PC.  Symbols come from
 `nm -n --defined-only`, or from its dynamic table (`-D`) when the file
-is stripped.  Needs only the Python standard library and binutils' nm.
+is stripped.  A file modified after the .maps file was written (a
+binary rebuilt since the profile) no longer holds the profiled code: its
+samples are still attributed, with a warning on stderr that names it.
+Needs only the Python standard library and binutils' nm.
 """
 
 import argparse
@@ -71,12 +74,17 @@ def symbols(path):
 class Symboliser:
     def __init__(self, maps_path):
         self.spans, self.bases = read_maps(maps_path)
+        self.maps_mtime = os.path.getmtime(maps_path)
         self.starts = [s[0] for s in self.spans]
         self.tables = {}
 
     def table(self, name):
         if name not in self.tables:
             try:
+                if os.path.getmtime(name) > self.maps_mtime:
+                    print(f"hostprof: warning: {name} changed after the "
+                          "profile was taken; its symbols may be wrong",
+                          file=sys.stderr)
                 bias = self.bases[name] if is_pie(name) else 0
                 syms = symbols(name)
             except OSError:
