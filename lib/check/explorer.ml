@@ -16,6 +16,9 @@
 
 module Json = Instrument.Json
 
+(* The visited table, keyed by (position, state) as raw bytes. *)
+module Visited = Hashtbl.Make (String)
+
 type stats = {
   mutable schedules : int;
   mutable states : int;
@@ -58,7 +61,8 @@ let explore ?(mutant = Core.Pmap.No_mutant) ?(cpus = 2) ?(depth = 16)
     ?(max_decisions = 4096) spec =
   let actual_cpus = Scenario.cpus spec ~requested:cpus in
   let stats = zero_stats () in
-  let visited : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let visited : unit Visited.t = Visited.create 1024 in
+  let key = Buffer.create 1024 in
   let stack : int array Stack.t = Stack.create () in
   Stack.push [||] stack;
   let verdict = ref Scenario.Pass in
@@ -85,15 +89,16 @@ let explore ?(mutant = Core.Pmap.No_mutant) ?(cpus = 2) ?(depth = 16)
                     position has an identical explored subtree shape, so
                     clamping there loses nothing the first visitor did
                     not cover. *)
-                 let fp =
-                   string_of_int pos ^ ":" ^ Scenario.fingerprint machine
-                 in
-                 if Hashtbl.mem visited fp then begin
+                 Buffer.clear key;
+                 Buffer.add_int64_le key (Int64.of_int pos);
+                 Scenario.add_fingerprint key machine;
+                 let fp = Buffer.contents key in
+                 if Visited.mem visited fp then begin
                    stats.revisits <- stats.revisits + 1;
                    ceiling := pos
                  end
                  else begin
-                   Hashtbl.add visited fp ();
+                   Visited.add visited fp ();
                    stats.states <- stats.states + 1
                  end
                end)

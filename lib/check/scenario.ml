@@ -491,22 +491,32 @@ let prot_code = function
   | Addr.Prot_read -> 1
   | Addr.Prot_read_write -> 2
 
-(* Pending delays print in hex ([%h]), which is exact: a decimal format
-   rounds, and two states whose delays differ past its last digit would
-   share a fingerprint, so pruning would drop schedules never explored. *)
-let fingerprint (machine : Machine.t) =
-  let b = Buffer.create 512 in
+(* The state key is raw bytes, written straight into the caller's
+   buffer: every integer in 8 bytes, every pending delay as its IEEE
+   bits, which is exact — a decimal rendering rounds, and two states
+   whose delays differ past its last digit would share a key, so pruning
+   would drop schedules never explored.  Variable-length parts carry
+   their length first, so two states share a key iff they agree on
+   every field. *)
+let[@inline] add_int b n = Buffer.add_int64_le b (Int64.of_int n)
+
+let add_fingerprint b (machine : Machine.t) =
   let ctx = machine.Machine.ctx in
+  let pending = Sim.Engine.pending_summary machine.Machine.eng in
+  add_int b (List.length pending);
   List.iter
-    (fun (dt, name) -> Buffer.add_string b (Printf.sprintf "%h:%s;" dt name))
-    (Sim.Engine.pending_summary machine.Machine.eng);
+    (fun (dt, name) ->
+      Buffer.add_int64_le b (Int64.bits_of_float dt);
+      add_int b (String.length name);
+      Buffer.add_string b name)
+    pending;
   let bools tag a =
-    Buffer.add_string b tag;
+    Buffer.add_char b tag;
     Array.iter (fun v -> Buffer.add_char b (if v then '1' else '0')) a
   in
-  bools "A" ctx.Pmap.active;
-  bools "N" ctx.Pmap.action_needed;
-  bools "D" ctx.Pmap.draining;
+  bools 'A' ctx.Pmap.active;
+  bools 'N' ctx.Pmap.action_needed;
+  bools 'D' ctx.Pmap.draining;
   Buffer.add_char b 'Q';
   Array.iter
     (fun q -> Buffer.add_char b (if Core.Action.is_empty q then '0' else '1'))
@@ -517,11 +527,9 @@ let fingerprint (machine : Machine.t) =
     Buffer.add_char b ','
   done;
   let lock l =
-    match Sim.Spinlock.holder l with
-    | Some c -> Buffer.add_string b (string_of_int c)
-    | None -> Buffer.add_char b '-'
+    Buffer.add_char b 'L';
+    add_int b (match Sim.Spinlock.holder l with Some c -> c | None -> -1)
   in
-  Buffer.add_char b 'L';
   lock ctx.Pmap.kernel_pmap.Pmap.lock;
   Array.iter
     (function
@@ -530,21 +538,32 @@ let fingerprint (machine : Machine.t) =
     ctx.Pmap.current_user;
   Array.iter
     (fun mmu ->
+      let entries = Hw.Tlb.entries (Hw.Mmu.tlb mmu) in
       Buffer.add_char b '|';
+      add_int b (List.length entries);
       List.iter
         (fun (e : Hw.Tlb.entry) ->
-          Buffer.add_string b
-            (Printf.sprintf "%d.%d.%d.%d.%d%b%b;" e.Hw.Tlb.space e.Hw.Tlb.vpn
-               e.Hw.Tlb.pfn (prot_code e.Hw.Tlb.prot) e.Hw.Tlb.gen
-               e.Hw.Tlb.ref_bit e.Hw.Tlb.mod_bit))
-        (Hw.Tlb.entries (Hw.Mmu.tlb mmu)))
+          add_int b e.Hw.Tlb.space;
+          add_int b e.Hw.Tlb.vpn;
+          add_int b e.Hw.Tlb.pfn;
+          add_int b (prot_code e.Hw.Tlb.prot);
+          add_int b e.Hw.Tlb.gen;
+          Buffer.add_char b (if e.Hw.Tlb.ref_bit then '1' else '0');
+          Buffer.add_char b (if e.Hw.Tlb.mod_bit then '1' else '0'))
+        entries)
     machine.Machine.mmus;
-  Buffer.add_string b
-    (Printf.sprintf "#%d.%d.%d.%d.%d.%d" ctx.Pmap.shootdowns_initiated
-       ctx.Pmap.shootdowns_skipped_lazy ctx.Pmap.watchdog_retries
-       ctx.Pmap.watchdog_escalations ctx.Pmap.watchdog_recoveries
-       ctx.Pmap.elision_rounds_elided);
-  Digest.string (Buffer.contents b)
+  Buffer.add_char b '#';
+  add_int b ctx.Pmap.shootdowns_initiated;
+  add_int b ctx.Pmap.shootdowns_skipped_lazy;
+  add_int b ctx.Pmap.watchdog_retries;
+  add_int b ctx.Pmap.watchdog_escalations;
+  add_int b ctx.Pmap.watchdog_recoveries;
+  add_int b ctx.Pmap.elision_rounds_elided
+
+let fingerprint machine =
+  let b = Buffer.create 512 in
+  add_fingerprint b machine;
+  Buffer.contents b
 
 (* --- mutants ------------------------------------------------------------ *)
 

@@ -77,14 +77,19 @@ val run :
     [trace] attaches the span tracer for counterexample rendering.
     Never raises: every failure mode is folded into the verdict. *)
 
+val add_fingerprint : Buffer.t -> Vm.Machine.t -> unit
+(** Append the key of the model-relevant machine state: pending events
+    (as time-to-fire/label pairs), the protocol's per-CPU flags and
+    phases, action-queue emptiness, pmap lock holders, every TLB's
+    contents and the property-gating counters.  The key is raw bytes and
+    exact: two states share it iff they agree on all of these.
+    Thread-private progress (loop counters, memory word values) is
+    deliberately abstracted away, which is what makes fingerprint
+    pruning a heuristic state reduction — the explorer's [--no-prune]
+    mode cross-checks it. *)
+
 val fingerprint : Vm.Machine.t -> string
-(** Digest of the model-relevant machine state: pending events (as
-    time-to-fire/label pairs), the protocol's per-CPU flags and phases,
-    action-queue emptiness, pmap lock holders, every TLB's contents and
-    the property-gating counters.  Thread-private progress (loop
-    counters, memory word values) is deliberately abstracted away, which
-    is what makes fingerprint pruning a heuristic state reduction — the
-    explorer's [--no-prune] mode cross-checks it. *)
+(** {!add_fingerprint} into a fresh buffer. *)
 
 val mutant_name : Core.Pmap.mutant -> string
 (** ["none"], ["skip-barrier"], ["skip-responder-invalidate"] or

@@ -14,7 +14,15 @@
    The shared chunk is never written: [set] goes through [ensure_slot],
    which installs a real chunk first, and [clear] only touches valid
    entries (the sentinel is invalid forever), so sharing it across every
-   page table — and across domains — is safe. *)
+   page table — and across domains — is safe.
+
+   A real chunk also starts as 1024 pointers to [no_pte]: a slot's own
+   record is made the first time [set] reaches it, and then stays for
+   the table's life, so [clear] and a later [set] of the same page reuse
+   it and a TLB entry's [pte] still names the page's record.  Booting a
+   machine thus fills a chunk with one shared pointer instead of
+   allocating, storing and promoting 1024 records, most of them never
+   mapped. *)
 
 type pte = {
   mutable valid : bool;
@@ -64,25 +72,28 @@ let lookup t vpn =
   let pte = find t vpn in
   if pte.valid then Some pte else None
 
-(* The raw slot, valid or not (used by the MMU's interlocked ref/mod
-   writeback, which must observe invalid entries). *)
-let slot t vpn =
-  let l2 = t.chunks.(Addr.l1_index vpn) in
-  if l2 == absent_chunk then None else Some l2.(Addr.l2_index vpn)
-
+(* The record for [vpn], made on first use: its chunk is installed if
+   absent, and its slot's own record if the slot still holds [no_pte]. *)
 let ensure_slot t vpn =
   let i1 = Addr.l1_index vpn in
   let l2 = t.chunks.(i1) in
   let l2 =
     if l2 != absent_chunk then l2
     else begin
-      let l2 = Array.init 1024 (fun _ -> invalid_pte ()) in
+      let l2 = Array.make 1024 no_pte in
       t.chunks.(i1) <- l2;
       t.l2_tables <- t.l2_tables + 1;
       l2
     end
   in
-  l2.(Addr.l2_index vpn)
+  let i2 = Addr.l2_index vpn in
+  let pte = l2.(i2) in
+  if pte != no_pte then pte
+  else begin
+    let pte = invalid_pte () in
+    l2.(i2) <- pte;
+    pte
+  end
 
 (* Install or replace a mapping. *)
 let set t vpn ~pfn ~prot ~wired =

@@ -1,7 +1,8 @@
 (** Two-level page tables in the style of the NS32382 MMU.  Second-level
     tables are allocated lazily in 1024-page chunks; a missing chunk
     proves those pages unmapped — the residual lazy evaluation of paper
-    section 7.2. *)
+    section 7.2.  Within a chunk, a page's record is made when the page
+    is first set; until then it reads as {!no_pte}. *)
 
 type pte = {
   mutable valid : bool;
@@ -32,12 +33,11 @@ val find : t -> Addr.vpn -> pte
 val lookup : t -> Addr.vpn -> pte option
 (** The valid entry for [vpn]; allocation-free on the miss path. *)
 
-val slot : t -> Addr.vpn -> pte option
-(** The raw slot, valid or not (interlocked ref/mod writeback needs to
-    observe invalid entries). *)
-
 val set : t -> Addr.vpn -> pfn:Addr.pfn -> prot:Addr.prot -> wired:bool -> pte
-(** Install or replace a mapping; clears the reference/modify bits. *)
+(** Install or replace a mapping; clears the reference/modify bits.  A
+    page's record is made by its first [set] and kept for the table's
+    life: a later [set], after a {!clear} or not, returns the same
+    record. *)
 
 val clear : t -> Addr.vpn -> pte option
 (** Invalidate a mapping; returns the old entry if one was valid. *)

@@ -7,42 +7,59 @@
    A run writes only a few of its frames, so storage is allocated on first
    use: every frame starts as the shared [unbacked] sentinel, reads of it
    return 0, and its first [write] (or the [copy_frame] that lands real
-   data in it) gives it a page of its own.  Creating a machine therefore
-   costs O(frames) pointer stores, not a zero-filled frames-sized page
-   store. *)
+   data in it) gives it a page of its own.  The allocator is a counter
+   of frames never handed out plus a small stack of freed ones.
+   Creating a machine therefore costs one frames-sized array of
+   pointers to the sentinel, not a zero-filled frames-sized page store
+   or a frames-sized free list. *)
 
 type t = {
   store : int array array; (* one page of words per frame, or [unbacked] *)
-  free : Addr.pfn array; (* stack of free frames, top at [nfree - 1] *)
-  mutable nfree : int;
+  mutable fresh : int; (* frames [fresh, frames) were never handed out *)
+  mutable freed : Addr.pfn array; (* stack of freed frames, grown on demand *)
+  mutable nfreed : int; (* its top is at [nfreed - 1] *)
 }
 
 let unbacked : int array = [||]
 
 (* Frames are handed out lowest first, and a freed frame is the next one
-   handed out (LIFO). *)
+   handed out (LIFO): the freed stack is drained before [fresh] moves.
+   A run frees few frames, so the stack starts small instead of holding
+   every frame. *)
 let create ~frames =
   {
     store = Array.make frames unbacked;
-    free = Array.init frames (fun i -> frames - 1 - i);
-    nfree = frames;
+    fresh = 0;
+    freed = Array.make 16 0;
+    nfreed = 0;
   }
 
 let frames t = Array.length t.store
-let free_frames t = t.nfree
+let free_frames t = frames t - t.fresh + t.nfreed
 
 exception Out_of_memory
 
 let alloc_frame t =
-  if t.nfree = 0 then raise Out_of_memory;
-  t.nfree <- t.nfree - 1;
-  t.free.(t.nfree)
+  if t.nfreed > 0 then begin
+    t.nfreed <- t.nfreed - 1;
+    t.freed.(t.nfreed)
+  end
+  else if t.fresh < frames t then begin
+    t.fresh <- t.fresh + 1;
+    t.fresh - 1
+  end
+  else raise Out_of_memory
 
 let free_frame t pfn =
-  if pfn < 0 || pfn >= frames t || t.nfree = frames t then
+  if pfn < 0 || pfn >= frames t || free_frames t = frames t then
     invalid_arg "Phys_mem.free_frame";
-  t.free.(t.nfree) <- pfn;
-  t.nfree <- t.nfree + 1
+  if t.nfreed = Array.length t.freed then begin
+    let freed = Array.make (2 * t.nfreed) 0 in
+    Array.blit t.freed 0 freed 0 t.nfreed;
+    t.freed <- freed
+  end;
+  t.freed.(t.nfreed) <- pfn;
+  t.nfreed <- t.nfreed + 1
 
 let check_frame t pfn =
   if pfn < 0 || pfn >= frames t then invalid_arg "Phys_mem: bad frame"

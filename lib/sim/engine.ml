@@ -549,27 +549,29 @@ let pending_summary t =
   in
   Heap.iter_entries add t.heap;
   Lane.iter add t.polls;
-  List.sort compare !acc
+  List.sort
+    (fun (d, l) (d', l') ->
+      let c = Float.compare d d' in
+      if c <> 0 then c else String.compare l l')
+    !acc
 
-(* Controlled pop under an attached explorer: collect every event tied
-   at the next instant, offer the explorer a choice among the *live*
-   ones, and push the losers back.  The ties are the heap's and the
-   poll lane's entries at that instant, merged by seq, which is (time,
-   seq) order: FIFO is alternative 0.  The losers stay due at that
-   instant, so they go back into the heap at it, each with its own seq,
-   and so pop in seq order.  The clock moves only after the choice: the
-   fingerprints the explorer takes inside [choose] measure pending
-   delays from the instant before.
+(* Whether [ev] is an expired timer whose wakener already fired: a pure
+   no-op. *)
+let[@inline] inert = function Ev_timer (_, w) -> w.fired | _ -> false
 
-   An expired timer whose wakener already fired is a pure no-op —
-   branching on its position would multiply schedules without changing
-   any behaviour — so such events are elided from the choice (the
-   harness's cheapest partial-order reduction) and only run, in FIFO
-   order, when nothing live shares the instant. *)
-let pop_controlled t ex =
+(* The tie path of {!pop_controlled}: [first], popped at [time], shares
+   that instant with another entry.  Collect every event tied there,
+   offer the explorer a choice among the *live* ones, and push the
+   losers back.  The ties are the heap's and the poll lane's entries at
+   that instant, merged by seq, which is (time, seq) order: FIFO is
+   alternative 0.  The losers stay due at that instant, so they go back
+   into the heap at it, each with its own seq, and so pop in seq order.
+   The clock moves only after the choice: the fingerprints the explorer
+   takes inside [choose] measure pending delays from the instant
+   before. *)
+let pop_tied t ex time first =
   let h = t.heap and p = t.polls in
-  let time = next_time t in
-  let ties = ref [] in
+  let ties = ref [ first ] in
   let more = ref true in
   while !more do
     if heap_first t && Heap.root_time h = time then begin
@@ -583,11 +585,7 @@ let pop_controlled t ex =
     else more := false
   done;
   let ties = List.rev !ties in
-  let live =
-    List.filter
-      (fun (_, ev) -> match ev with Ev_timer (_, w) -> not w.fired | _ -> true)
-      ties
-  in
+  let live = List.filter (fun (_, ev) -> not (inert ev)) ties in
   Explore.note_elision ex (List.length ties - List.length live);
   let cseq, cev =
     match live with
@@ -600,6 +598,35 @@ let pop_controlled t ex =
   t.clock.now <- time;
   List.iter (fun (seq, ev) -> if seq <> cseq then Heap.push h time seq ev) ties;
   cev
+
+(* Controlled pop under an attached explorer.  An expired timer whose
+   wakener already fired is a pure no-op — branching on its position
+   would multiply schedules without changing any behaviour — so such
+   events are elided from the choice (the harness's cheapest
+   partial-order reduction) and only run, in FIFO order, when nothing
+   live shares the instant.
+
+   Most pops have nothing tied with them: the earlier of the heap's root
+   and the poll lane's head is popped as {!pop} pops it, and only when
+   either queue holds another entry at its instant does the tie path
+   gather the rest.  A lone entry is the whole tie list, so it runs with
+   no choice and, if inert, counts one elision, with nothing
+   allocated. *)
+let pop_controlled t ex =
+  let h = t.heap and p = t.polls in
+  let from_heap = heap_first t in
+  let time = if from_heap then Heap.root_time h else Lane.head_time p in
+  let seq = if from_heap then Heap.root_seq h else Lane.head_seq p in
+  let ev = if from_heap then Heap.pop_payload h else Lane.pop p in
+  if
+    (Heap.is_empty h || Heap.root_time h > time)
+    && (p.len = 0 || Lane.head_time p > time)
+  then begin
+    if inert ev then Explore.note_elision ex 1;
+    t.clock.now <- time;
+    ev
+  end
+  else pop_tied t ex time (seq, ev)
 
 (* Summarise what is still scheduled, by label, most frequent first: the
    stuck site usually dominates the histogram.  The event that tripped

@@ -69,6 +69,21 @@ let test_phys_mem_exhaustion () =
   Phys_mem.free_frame mem b;
   Alcotest.(check int) "one free again" 1 (Phys_mem.free_frames mem)
 
+(* Freed frames come back last freed first, then the never-used ones
+   lowest first, also once more frames are freed than the freed stack
+   first holds. *)
+let test_phys_mem_free_order () =
+  let mem = Phys_mem.create ~frames:48 in
+  let taken = List.init 40 (fun _ -> Phys_mem.alloc_frame mem) in
+  Alcotest.(check (list int)) "lowest first" (List.init 40 Fun.id) taken;
+  List.iter (Phys_mem.free_frame mem) taken;
+  Alcotest.(check int) "all free" 48 (Phys_mem.free_frames mem);
+  let again = List.init 42 (fun _ -> Phys_mem.alloc_frame mem) in
+  Alcotest.(check (list int))
+    "freed last-in first-out, then fresh"
+    (List.rev taken @ [ 40; 41 ])
+    again
+
 let test_copy_frame () =
   let mem = Phys_mem.create ~frames:4 in
   let a = Phys_mem.alloc_frame mem and b = Phys_mem.alloc_frame mem in
@@ -493,6 +508,37 @@ let test_mmu_no_space () =
       | Error { Mmu.kind = Mmu.Fault_no_space; _ } -> ()
       | Ok _ | Error _ -> Alcotest.fail "expected no-space fault")
 
+(* A page's record is made by its first [set] and kept: set, clear and
+   set again return the same record, so a TLB entry loaded before the
+   clear names the record the second [set] rewrote.  The chunk's other
+   pages read invalid until set, and only chunks count as tables. *)
+let test_pt_record_kept () =
+  with_mmu (fun mmu pt mem ->
+      let pfn = Phys_mem.alloc_frame mem in
+      let first = Page_table.set pt 5 ~pfn ~prot:Addr.Prot_read_write ~wired:false in
+      (match Mmu.read_word mmu (Addr.addr_of_vpn 5) with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "warm-up read");
+      ignore (Page_table.clear pt 5);
+      let pfn' = Phys_mem.alloc_frame mem in
+      let again = Page_table.set pt 5 ~pfn:pfn' ~prot:Addr.Prot_read ~wired:false in
+      Alcotest.(check bool) "same record" true (first == again);
+      (match Hw.Tlb.lookup (Mmu.tlb mmu) ~space:1 ~vpn:5 with
+      | Some e ->
+          Alcotest.(check bool) "entry names the record" true (e.Hw.Tlb.pte == again);
+          Alcotest.(check bool) "entry sees the re-set" true
+            (e.Hw.Tlb.pte.Page_table.valid && e.Hw.Tlb.pte.Page_table.pfn = pfn')
+      | None -> Alcotest.fail "TLB entry lost");
+      Alcotest.(check bool) "unset page invalid" false
+        (Page_table.find pt 6).Page_table.valid;
+      Alcotest.(check bool) "unset page not looked up" true
+        (Page_table.lookup pt 6 = None);
+      Alcotest.(check int) "one chunk" 1 (Page_table.l2_table_count pt);
+      ignore (Page_table.set pt 6 ~pfn ~prot:Addr.Prot_read ~wired:false);
+      Alcotest.(check int) "same chunk" 1 (Page_table.l2_table_count pt);
+      ignore (Page_table.set pt 5000 ~pfn ~prot:Addr.Prot_read ~wired:false);
+      Alcotest.(check int) "second chunk" 2 (Page_table.l2_table_count pt))
+
 let () =
   Alcotest.run "hw"
     [
@@ -506,6 +552,7 @@ let () =
         [
           Alcotest.test_case "read/write" `Quick test_phys_mem_rw;
           Alcotest.test_case "exhaustion" `Quick test_phys_mem_exhaustion;
+          Alcotest.test_case "free order" `Quick test_phys_mem_free_order;
           Alcotest.test_case "copy frame" `Quick test_copy_frame;
           Alcotest.test_case "unbacked frames" `Quick
             test_phys_mem_unbacked_frames;
@@ -517,6 +564,8 @@ let () =
         :: [
              Alcotest.test_case "chunk skipping" `Quick test_pt_chunk_skipping;
              Alcotest.test_case "iter range" `Quick test_pt_iter_range;
+             Alcotest.test_case "record kept across clear" `Quick
+               test_pt_record_kept;
            ] );
       ( "tlb",
         [

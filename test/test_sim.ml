@@ -680,6 +680,90 @@ let test_explorer_tie_three_queues () =
 
 let timers_fired eng = List.assoc "after" (Sim.Engine.label_counts eng)
 
+(* Controlled pops with a single candidate.  Each engine attaches its
+   explorer at t = 1, after the spawns, so only the events below reach
+   it.  An inert timer is one whose wakener an earlier poke fired: the
+   coroutine parks on a timer at [at_], and a thunk at [poke] wakes it
+   first. *)
+let explored_engine () =
+  let eng = Sim.Engine.create () in
+  let ex = Sim.Explore.create ~prefix:[||] () in
+  Sim.Engine.at eng 1.0 (fun () -> Sim.Engine.set_explore eng (Some ex));
+  (eng, ex)
+
+let inert_timer eng ~poke ~at_ =
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Engine.suspend (fun w ->
+          Sim.Engine.wake_after eng at_ w;
+          Sim.Engine.at eng poke (fun () -> Sim.Engine.wake eng w)))
+
+let decisions ex =
+  List.map
+    (fun (d : Sim.Explore.decision) ->
+      (Sim.Explore.kind_name d.d_kind, d.d_alts, d.d_chosen))
+    (Sim.Explore.decisions ex)
+
+(* A lone inert timer still runs, as one counted no-op, and is one
+   elision. *)
+let test_controlled_lone_inert () =
+  let eng, ex = explored_engine () in
+  inert_timer eng ~poke:2.0 ~at_:5.0;
+  Sim.Engine.run eng;
+  Alcotest.(check int) "one elision" 1 (Sim.Explore.elided ex);
+  Alcotest.(check int) "timer counted" 1 (timers_fired eng);
+  check_float "clock at the timer" ~eps:0.0 5.0 (Sim.Engine.now eng);
+  Alcotest.(check (list (triple string int int))) "no decision" [] (decisions ex)
+
+(* An inert timer tied with one live event L, pushed after it: L runs
+   first with no decision, the tie's one elision counted; the timer goes
+   back and then runs alone, a second elision. *)
+let test_controlled_inert_and_live () =
+  let eng, ex = explored_engine () in
+  inert_timer eng ~poke:2.0 ~at_:5.0;
+  let seen = ref None in
+  Sim.Engine.at eng 3.0 (fun () ->
+      Sim.Engine.at eng 5.0 (fun () ->
+          seen := Some (Sim.Explore.elided ex, timers_fired eng)));
+  Sim.Engine.run eng;
+  Alcotest.(check (option (pair int int)))
+    "L runs first, after one elision" (Some (1, 0)) !seen;
+  Alcotest.(check (list (triple string int int))) "no decision" [] (decisions ex);
+  Alcotest.(check int) "timer then alone" 2 (Sim.Explore.elided ex);
+  Alcotest.(check int) "timer counted" 1 (timers_fired eng)
+
+(* Two inert timers tied: the older runs, both counted as elisions; the
+   younger goes back and then runs alone, one more. *)
+let test_controlled_two_inert () =
+  let eng, ex = explored_engine () in
+  inert_timer eng ~poke:2.0 ~at_:5.0;
+  inert_timer eng ~poke:3.0 ~at_:5.0;
+  Sim.Engine.run eng;
+  Alcotest.(check int) "elisions" 3 (Sim.Explore.elided ex);
+  Alcotest.(check int) "both timers counted" 2 (timers_fired eng);
+  Alcotest.(check (list (triple string int int))) "no decision" [] (decisions ex)
+
+(* Two live events tied: one two-way decision, and the loser then runs
+   alone with none. *)
+let test_controlled_two_live () =
+  let run choice =
+    let eng = Sim.Engine.create () in
+    let ex = Sim.Explore.create ~prefix:[| choice |] () in
+    Sim.Engine.set_explore eng (Some ex);
+    let order = ref [] in
+    Sim.Engine.at eng 5.0 (fun () -> order := "A" :: !order);
+    Sim.Engine.at eng 5.0 (fun () -> order := "B" :: !order);
+    Sim.Engine.run eng;
+    Alcotest.(check (list (triple string int int)))
+      (Printf.sprintf "one tie, choice %d" choice)
+      [ ("tie", 2, choice) ]
+      (decisions ex);
+    Alcotest.(check int) "no elision" 0 (Sim.Explore.elided ex);
+    List.rev !order
+  in
+  Alcotest.(check (list string)) "choice 0" [ "A"; "B" ] (run 0);
+  Alcotest.(check (list string)) "choice 1" [ "B"; "A" ] (run 1)
+
+
 (* A thunk pushed for T after the timer for T runs before the coroutine
    the timer wakes. *)
 let test_fusion_heap_tie () =
@@ -1834,6 +1918,15 @@ let () =
           QCheck_alcotest.to_alcotest poll_order_matches_reference;
           Alcotest.test_case "explorer tie across three queues" `Quick
             test_explorer_tie_three_queues;
+        ] );
+      ( "controlled pop",
+        [
+          Alcotest.test_case "lone inert timer" `Quick
+            test_controlled_lone_inert;
+          Alcotest.test_case "inert timer tied with a live event" `Quick
+            test_controlled_inert_and_live;
+          Alcotest.test_case "two inert timers" `Quick test_controlled_two_inert;
+          Alcotest.test_case "two live events" `Quick test_controlled_two_live;
         ] );
       ( "timer fusion",
         [
